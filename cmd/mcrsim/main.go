@@ -8,6 +8,7 @@
 //	mcrsim -workload tigr -k 4 -compare          # baseline vs MCR, pooled
 //	mcrsim -workload tigr -k 4 -checkpoint run.ckpt -checkpoint-every 1000000
 //	mcrsim -workload tigr -k 4 -restore run.ckpt # strict resume after a crash
+//	mcrsim -workload tigr -k 4 -engine stepped   # cycle-by-cycle reference loop
 package main
 
 import (
@@ -197,6 +198,7 @@ func main() {
 		metrics   = flag.Bool("metrics", false, "attach the cycle-domain observability registry (stall attribution, per-bank commands)")
 		traceOut  = flag.String("trace-out", "", "write the run's command/policy events as Chrome trace_event JSON to this file")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address, e.g. localhost:6060")
+		engine    = flag.String("engine", "event-driven", "run loop: stepped or event-driven (identical results)")
 	)
 	flag.Parse()
 	startPprof(*pprofAddr)
@@ -270,6 +272,10 @@ func main() {
 		RefreshSkipping: !*noRS,
 	}
 	cfg.DRAM.Wiring, err = parseWiring(*wiring)
+	if err != nil {
+		fatal(err)
+	}
+	cfg.Engine, err = sim.ParseEngine(*engine)
 	if err != nil {
 		fatal(err)
 	}

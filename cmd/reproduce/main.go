@@ -6,6 +6,7 @@
 //	reproduce -all                 # everything
 //	reproduce -all -jobs 8         # pooled execution, 8 simulations in flight
 //	reproduce -fig 11 -insts 2000000 -metric readlat
+//	reproduce -fig 11 -engine stepped          # cycle-by-cycle reference loop
 //	reproduce -all -checkpoint-dir /tmp/ckpt   # crash-safe resumable sweep
 //
 // Sweeps run through the internal/runplan executor: independent cells
@@ -32,6 +33,7 @@ import (
 	"repro/internal/mcr"
 	"repro/internal/obs"
 	"repro/internal/runplan"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -95,6 +97,7 @@ func main() {
 		seeds   = flag.Int("seeds", 5, "seeds for -extra repeat")
 		jobs    = flag.Int("jobs", 0, "simulations in flight (0 = GOMAXPROCS, 1 = serial)")
 		metric  = flag.String("metric", "exec", "sweep metric: exec, readlat or edp")
+		engine  = flag.String("engine", "event-driven", "run loop: stepped or event-driven (identical results)")
 		verbose = flag.Bool("v", false, "print per-simulation progress with throughput stats")
 
 		keepGoing   = flag.Bool("keep-going", false, "record per-cell failures and finish the sweep instead of stopping at the first error")
@@ -111,6 +114,10 @@ func main() {
 	flag.Parse()
 
 	if err := validateMetric(*metric); err != nil {
+		fatal(err)
+	}
+	eng, err := sim.ParseEngine(*engine)
+	if err != nil {
 		fatal(err)
 	}
 	if *ckptEvery != 0 && *ckptDir == "" {
@@ -140,6 +147,7 @@ func main() {
 		RetryBackoff:  100 * time.Millisecond,
 		Metrics:       *metrics,
 		CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery,
+		Engine: eng,
 	}
 	if *traceOut != "" {
 		opt.TraceCap = obs.DefaultTraceCap

@@ -44,7 +44,8 @@ import (
 // ReplaySkipped reproduces. Callers must invoke it only after Tick(now)
 // has run and completions have been drained; now+1 (no skippable span)
 // is always a safe answer and is returned whenever the next tick is not
-// provably inert.
+// provably inert. The scan stops as soon as the running minimum reaches
+// now+1: the final clamp would floor anything earlier there anyway.
 //
 //mcrlint:hotpath event-engine skip bound (per active step)
 func (c *Controller) NextEventAt(now int64) int64 {
@@ -74,6 +75,9 @@ func (c *Controller) NextEventAt(now int64) int64 {
 					}
 					anyOpen = true
 					if t, ok := c.dev.EarliestPrecharge(a, from); ok && t < ev {
+						if t <= from {
+							return from
+						}
 						ev = t
 					}
 				}
@@ -101,6 +105,9 @@ func (c *Controller) NextEventAt(now int64) int64 {
 					ev = t
 				}
 			}
+			if ev <= from {
+				return from
+			}
 		}
 		primary, secondary := c.readQ[ch], c.writeQ[ch]
 		if c.drain[ch] {
@@ -113,6 +120,9 @@ func (c *Controller) NextEventAt(now int64) int64 {
 			if t := c.queueEventAt(secondary, from); t < ev {
 				ev = t
 			}
+		}
+		if ev <= from {
+			return from
 		}
 		if c.cfg.RowPolicy == ClosePage {
 			for r := 0; r < c.geom.Ranks; r++ {
@@ -215,7 +225,8 @@ func (c *Controller) replayBlocked(req *request, from, n int64) {
 // queueEventAt returns the earliest cycle >= from at which a pass over
 // the frozen queue could issue a command or change shape: any row hit's
 // column time, the first-per-bank set's preparation times, and the
-// anti-starvation threshold of the oldest request.
+// anti-starvation threshold of the oldest request. It returns from as
+// soon as one request is ready then, since nothing can come earlier.
 func (c *Controller) queueEventAt(q []request, from int64) int64 {
 	if len(q) == 0 {
 		return math.MaxInt64
@@ -238,6 +249,9 @@ func (c *Controller) queueEventAt(q []request, from int64) int64 {
 			continue
 		}
 		if t := c.requestEventAt(req, from); t < ev {
+			if t <= from {
+				return from
+			}
 			ev = t
 		}
 	}
@@ -253,6 +267,9 @@ func (c *Controller) queueEventAt(q []request, from int64) int64 {
 			continue // its column event is already folded in above
 		}
 		if t := c.requestEventAt(req, from); t < ev {
+			if t <= from {
+				return from
+			}
 			ev = t
 		}
 	}

@@ -69,6 +69,9 @@ type Options struct {
 	// (0 selects runplan.DefaultCheckpointEvery). See runplan.Executor.
 	CheckpointDir   string
 	CheckpointEvery int64
+	// Engine selects every simulation's run loop (sim.Config.Engine);
+	// both engines produce byte-identical results.
+	Engine sim.Engine
 }
 
 // withDefaults fills unset options.
@@ -134,6 +137,7 @@ func baseConfig(o Options, multicore bool, workloads []string, mode mcr.Mode, me
 		AllocRatio:      allocRatio,
 		SharedFootprint: shared,
 		PowerDownCycles: 64,
+		Engine:          o.Engine,
 	}
 	cfg.DRAM.Mech = mech
 	if multicore {

@@ -257,6 +257,10 @@ func (s *Sim) run(ctx context.Context) (*Result, error) {
 		// then carries the post-poll violation cursor, so the resumed
 		// loop's re-poll at this cycle is an idempotent no-op.
 		if mem&0xFFF == 0 {
+			// The skip backoff restarts here, so skip decisions depend
+			// only on state since the last checkpointable cycle and a
+			// resumed run skips exactly the cycles this one does.
+			s.ls.horizonWait, s.ls.missExp = 0, 0
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
@@ -282,14 +286,10 @@ func (s *Sim) run(ctx context.Context) (*Result, error) {
 			break
 		}
 		if eventDriven {
-			// Jump over the inert span: target is the next cycle any
-			// domain can change state, and it never crosses a poll
+			// Jump over the inert span: the skip never crosses a poll
 			// boundary, so the amortized block above fires at exactly
 			// the stepped engine's cycles.
-			if t := s.ls.skipTarget(mem); t > mem+1 {
-				s.ls.applySkip(mem, t-mem-1)
-				mem = t - 1
-			}
+			mem = s.ls.skip(mem)
 		}
 	}
 	res, err := s.finish(mem)

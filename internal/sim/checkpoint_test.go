@@ -9,9 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/dram"
-	"repro/internal/fault"
-	"repro/internal/mcr"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -20,59 +17,6 @@ import (
 // ckptTraceCap is the tracer capacity shared by every run of a parity
 // comparison: restoring trace events requires identical ring capacity.
 const ckptTraceCap = 256
-
-// checkpointConfigs covers all five mechanism backends, each with fault
-// injection enabled (so the integrity checker and its violation state
-// ride along); the MCR config additionally runs the resilience policy
-// with governor and quarantine, plus profile-based allocation.
-func checkpointConfigs(t *testing.T) map[string]sim.Config {
-	t.Helper()
-	base := func(workload string) sim.Config {
-		cfg := sim.DefaultConfig(workload)
-		cfg.InstsPerCore = 60_000
-		cfg.Seed = 3
-		cfg.Fault = &fault.Config{Seed: 3, WeakFraction: 0.05, TailMinFrac: 0.0005, TailMaxFrac: 0.005}
-		return cfg
-	}
-	mode44, err := mcr.NewMode(4, 4, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfgs := make(map[string]sim.Config)
-
-	c := base("stream")
-	c.DRAM = dram.DefaultConfig(mode44)
-	c.AllocRatio = 0.5
-	c.Resilience = &sim.ResilienceConfig{DowngradeAfter: 2, Quarantine: true}
-	cfgs["mcr"] = c
-
-	c = base("stream")
-	c.DRAM = dram.DefaultConfig(mcr.Off())
-	tl := dram.DefaultTLConfig()
-	c.DRAM.TL = &tl
-	cfgs["tldram"] = c
-
-	c = base("mummer")
-	c.DRAM = dram.DefaultConfig(mcr.Off())
-	nu := dram.DefaultNUATConfig()
-	c.DRAM.NUAT = &nu
-	cfgs["nuat"] = c
-
-	c = base("stream")
-	c.DRAM = dram.DefaultConfig(mcr.Off())
-	cr := dram.DefaultCROWConfig()
-	c.DRAM.CROW = &cr
-	cfgs["crow"] = c
-
-	c = base("mummer")
-	c.DRAM = dram.DefaultConfig(mcr.Off())
-	cl := dram.DefaultCLRConfig()
-	c.DRAM.CLR = &cl
-	cfgs["clr"] = c
-
-	return cfgs
-}
 
 // resultJSON runs cfg (with fresh observability attachments) and renders
 // the Result with the nondeterministic wall clock zeroed.
@@ -97,7 +41,7 @@ func resultJSON(t *testing.T, ctx context.Context, cfg sim.Config) []byte {
 // checkpoint must produce a Result byte-identical to the uninterrupted
 // run — with fault injection, metrics and tracing all enabled.
 func TestCheckpointResumeParity(t *testing.T) {
-	for name, cfg := range checkpointConfigs(t) {
+	for name, cfg := range sim.CheckpointConfigs(t) {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.ckpt")
 			want := resultJSON(t, context.Background(), cfg)

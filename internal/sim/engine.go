@@ -9,10 +9,13 @@
 // (never later than the true first state change), so the skipped cycles
 // are provably inert and the results stay byte-identical to the stepped
 // path; the parity tests pin that across all five mechanism backends.
+// A horizon that finds nothing to skip makes the next few steps skip
+// the computation (skip's backoff), so busy phases stay cheap.
 
 package sim
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/core"
@@ -40,69 +43,47 @@ func (e Engine) String() string {
 	return "event-driven"
 }
 
-// eventKind labels a skip-horizon candidate, for diagnostics.
-type eventKind uint8
-
-// Skip-horizon candidate sources.
-const (
-	evPoll       eventKind = iota // amortized cancellation/checkpoint boundary
-	evCompletion                  // earliest pending read completion
-	evController                  // controller/device next-event seam
-	evCPU                         // a core's quiescence bound expiring
-)
-
-// event is one skip-horizon candidate.
-type event struct {
-	at   int64
-	kind eventKind
+// ParseEngine returns the engine String names; an unknown name fails
+// with an error listing the valid choices.
+func ParseEngine(name string) (Engine, error) {
+	for _, e := range []Engine{Stepped, EventDriven} {
+		if name == e.String() {
+			return e, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown engine %q (valid: %s, %s)", name, Stepped, EventDriven)
 }
 
-// eventQueue is a typed min-heap of skip-horizon candidates ordered by
-// cycle, hand-rolled like completionQueue so the per-step path never
-// boxes through container/heap.
-type eventQueue []event
+// maxMissExp caps the miss backoff: after m consecutive horizons that
+// found nothing to skip (m <= maxMissExp), the next 2^m-1 steps compute
+// no horizon at all.
+const maxMissExp = 3
 
-// push adds a candidate and sifts it up to its heap position.
-func (q *eventQueue) push(e event) {
-	*q = append(*q, e) //mcrlint:allow hotalloc capacity reaches the candidate count (cores + 3) and stays there
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].at <= h[i].at {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
+// skip runs the event engine after step(mem) returned false: it replays
+// the inert span up to the skip horizon and returns the last cycle
+// replayed (mem itself when nothing was skipped). A horizon that finds
+// nothing to skip backs off the next ones, so busy phases pay almost
+// nothing for trying. Stepping a skippable cycle is always correct, so
+// the backoff changes only how many cycles are skipped, never results;
+// run zeroes it at every poll boundary.
+//
+//mcrlint:hotpath event-engine skip policy (per active step)
+func (ls *loopState) skip(mem int64) int64 {
+	if ls.horizonWait > 0 {
+		ls.horizonWait--
+		return mem
 	}
-}
-
-// pop removes and returns the earliest candidate, reusing the backing
-// array.
-func (q *eventQueue) pop() event {
-	h := *q
-	n := len(h) - 1
-	top := h[0]
-	h[0] = h[n]
-	*q = h[:n]
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
+	t := ls.skipTarget(mem)
+	if t <= mem+1 {
+		if ls.missExp < maxMissExp {
+			ls.missExp++
 		}
-		m := l
-		if r := l + 1; r < n && h[r].at < h[l].at {
-			m = r
-		}
-		if h[i].at <= h[m].at {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+		ls.horizonWait = 1<<ls.missExp - 1
+		return mem
 	}
-	return top
+	ls.missExp = 0
+	ls.applySkip(mem, t-mem-1)
+	return t - 1
 }
 
 // skipTarget returns the next memory cycle the loop must execute as a
@@ -111,52 +92,67 @@ func (q *eventQueue) pop() event {
 // may replay them in closed form. Called only after step(mem) returned
 // false.
 //
+// The result is the minimum over four candidates: the amortized poll
+// boundary, the earliest pending read completion, each live core's
+// quiescence bound and the controller's next event. They are taken
+// cheapest first, and the search stops as soon as the running minimum
+// reaches mem+1, so a busy step (a completion due next cycle, a core
+// that must step) never pays for the controller's queue scan.
+//
 //mcrlint:hotpath event-engine skip horizon (per active step)
 func (ls *loopState) skipTarget(mem int64) int64 {
+	next := mem + 1
 	if !ls.warmed {
-		return mem + 1 // warmup tracking needs per-cycle retirement checks
+		return next // warmup tracking needs per-cycle retirement checks
 	}
-	// Terminal check: once every core is done and nothing is in flight,
-	// the very next step ends the run — never skip over it. (A done core
-	// has an empty ROB, so "all done with reads in flight" cannot occur.)
-	allDone := true
-	for _, c := range ls.cores {
-		if !c.Done() {
-			allDone = false
-			break
-		}
-	}
-	if allDone {
-		r, w := ls.ctrl.Pending()
-		if r == 0 && w == 0 && len(ls.pending) == 0 {
-			return mem + 1
-		}
-	}
-	ls.evq = ls.evq[:0]
 	// The amortized poll boundary: cancellation checks, resilience polls
 	// and checkpoint writes must fire at exactly the cycles the stepped
 	// loop fires them.
-	ls.evq.push(event{at: ((mem >> 12) + 1) << 12, kind: evPoll})
+	t := ((mem >> 12) + 1) << 12
 	if len(ls.pending) > 0 {
-		ls.evq.push(event{at: ls.pending[0].DoneAt, kind: evCompletion})
+		d := ls.pending[0].DoneAt
+		if d <= next {
+			return next // a read completes next cycle
+		}
+		if d < t {
+			t = d
+		}
 	}
-	ls.evq.push(event{at: ls.ctrl.NextEventAt(mem), kind: evController})
+	allDone := true
 	for _, c := range ls.cores {
 		if c.Done() {
 			continue
 		}
+		allDone = false
 		b := c.SkipBound()
 		if b == 0 {
-			return mem + 1 // this core must step the next cycle
-		}
-		if b < math.MaxInt64/8 {
-			ls.evq.push(event{at: mem + 1 + b/int64(core.CPUCyclesPerMemCycle), kind: evCPU})
+			return next // this core must step the next cycle
 		}
 		// A saturated bound (pure stall until an external completion)
 		// contributes no candidate: the span is capped by the pending
 		// completion or controller event instead.
+		if b < math.MaxInt64/8 {
+			if at := next + b/int64(core.CPUCyclesPerMemCycle); at < t {
+				t = at
+			}
+		}
 	}
-	return ls.evq.pop().at
+	// Terminal check: once every core is done and nothing is in flight,
+	// the very next step ends the run — never skip over it. (A done core
+	// has an empty ROB, so "all done with reads in flight" cannot occur.)
+	if allDone {
+		r, w := ls.ctrl.Pending()
+		if r == 0 && w == 0 && len(ls.pending) == 0 {
+			return next
+		}
+	}
+	if t <= next {
+		return next
+	}
+	if at := ls.ctrl.NextEventAt(mem); at < t {
+		t = at
+	}
+	return t
 }
 
 // applySkip replays the inert span mem+1..mem+n in closed form: each

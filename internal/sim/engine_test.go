@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -43,7 +44,7 @@ func engineResultJSON(t *testing.T, cfg sim.Config, e sim.Engine) ([]byte, obs.S
 // byte-identical to the stepped reference loop, and must actually skip
 // cycles while doing so.
 func TestEngineParity(t *testing.T) {
-	for name, cfg := range checkpointConfigs(t) {
+	for name, cfg := range sim.CheckpointConfigs(t) {
 		t.Run(name, func(t *testing.T) {
 			want, _ := engineResultJSON(t, cfg, sim.Stepped)
 			got, snap := engineResultJSON(t, cfg, sim.EventDriven)
@@ -62,7 +63,7 @@ func TestEngineParity(t *testing.T) {
 // still matches the uninterrupted stepped reference byte for byte, in
 // both directions.
 func TestEngineCrossCheckpointRestore(t *testing.T) {
-	cfg := checkpointConfigs(t)["mcr"]
+	cfg := sim.CheckpointConfigs(t)["mcr"]
 	want, _ := engineResultJSON(t, cfg, sim.Stepped)
 	cases := []struct {
 		name          string
@@ -134,5 +135,24 @@ func TestSkipRatioSmoke(t *testing.T) {
 	if r := res.Obs.SkipRatio(); r <= 0.5 {
 		t.Errorf("skip ratio %.3f on the idle workload, want > 0.5 (stepped %d, skipped %d)",
 			r, res.Obs.EngineSteppedCycles, res.Obs.EngineSkippedCycles)
+	}
+}
+
+// TestParseEngine pins the CLI engine names and that a bad one lists the
+// valid choices.
+func TestParseEngine(t *testing.T) {
+	for _, e := range []sim.Engine{sim.Stepped, sim.EventDriven} {
+		if got, err := sim.ParseEngine(e.String()); err != nil || got != e {
+			t.Errorf("ParseEngine(%q) = %v, %v", e, got, err)
+		}
+	}
+	_, err := sim.ParseEngine("warp")
+	if err == nil {
+		t.Fatal("bad engine accepted")
+	}
+	for _, want := range []string{"warp", "stepped", "event-driven"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error must name the input and the valid engines: %v", err)
+		}
 	}
 }

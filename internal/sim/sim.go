@@ -300,8 +300,13 @@ type loopState struct {
 	// skippedCycles counts the memory cycles the event-driven engine
 	// replayed in closed form instead of stepping (0 under Stepped).
 	skippedCycles int64
-	//mcrlint:nosnapshot per-step scratch heap, drained inside every skipTarget call
-	evq eventQueue
+	// Miss backoff of the event-driven engine: after a horizon that found
+	// nothing to skip, the next horizonWait steps skip the computation;
+	// missExp counts consecutive misses (capped at maxMissExp).
+	//mcrlint:nosnapshot backoff state, zeroed at every poll boundary where checkpoints are written
+	horizonWait int
+	//mcrlint:nosnapshot backoff state, zeroed at every poll boundary where checkpoints are written
+	missExp int
 }
 
 // step runs one memory cycle — completion delivery, 4 CPU cycles, one
