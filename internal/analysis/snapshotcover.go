@@ -97,7 +97,7 @@ func coverSimState(pass *Pass) {
 			cov, mut := covered[fv], mutated[fv]
 			if mut != nil && mut.Write && (cov == nil || !cov.Ref) {
 				pass.ReportPosf(pos,
-					"mutable field %s is reachable from the cycle loop but never written on the restore path; checkpoint/resume silently drops it — capture it in ImportState or annotate //mcrlint:nosnapshot <reason>",
+					"mutable field %s is reachable from the cycle loop but never written on the restore path; checkpoint/resume silently drops it — move it into the component's State struct or annotate //mcrlint:nosnapshot <reason>",
 					fieldQName(named, fv))
 			}
 			if cov != nil && cov.Whole {
@@ -138,7 +138,7 @@ func coverGobVisibility(pass *Pass) {
 			if !fv.Exported() {
 				if _, ok := st.Nosnapshot(universe, pos); !ok {
 					pass.ReportPosf(pos,
-						"unexported field %s travels inside snapshot.State: encoding/gob silently drops it, so a restored run diverges — export it, mirror it, or annotate //mcrlint:nosnapshot <reason>",
+						"unexported field %s travels inside snapshot.State: encoding/gob silently drops it, so a restored run diverges — export it or annotate //mcrlint:nosnapshot <reason>",
 						fieldQName(named, fv))
 				}
 				continue // gob never descends into it

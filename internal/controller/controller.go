@@ -13,7 +13,6 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/mcr"
 	"repro/internal/obs"
 )
 
@@ -107,21 +106,21 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// request is one queued memory request. preAt/actAt record when the
-// request's own PRE/ACT issued (-1 until then); rasBlocked/refBlocked
+// Request is one queued memory request. PreAt/ActAt record when the
+// request's own PRE/ACT issued (-1 until then); RasBlocked/RefBlocked
 // count scheduler cycles the request's next command was gated by the
 // open row's tRAS/tWR window or a refresh in flight. The stall
 // accounter (internal/obs) partitions the retired latency from these
 // markers.
-type request struct {
-	id       int64
-	kind     core.OpKind
-	addr     core.Address
-	coreID   int
-	arriveAt int64
+type Request struct {
+	ID       int64
+	Kind     core.OpKind
+	Addr     core.Address
+	CoreID   int
+	ArriveAt int64
 
-	preAt, actAt           int64
-	rasBlocked, refBlocked int64
+	PreAt, ActAt           int64
+	RasBlocked, RefBlocked int64
 }
 
 // Completion reports a finished read back to the CPU model.
@@ -132,11 +131,11 @@ type Completion struct {
 	ArriveAt int64
 }
 
-// rankRefresh tracks the refresh obligation of one rank.
-type rankRefresh struct {
-	nextDue int64 // cycle the next tREFI interval elapses
-	debt    int   // intervals elapsed but not yet refreshed
-	counter int   // REF sequence number (13-bit window position)
+// RankRefresh tracks the refresh obligation of one rank.
+type RankRefresh struct {
+	NextDue int64 // cycle the next tREFI interval elapses
+	Debt    int   // intervals elapsed but not yet refreshed
+	Counter int   // REF sequence number (13-bit window position)
 }
 
 // Stats aggregates controller-level counters.
@@ -162,16 +161,9 @@ type Controller struct {
 	mapper *AddressMapper
 	rows   *alloc.RowMap
 
-	readQ  [][]request // per channel
-	writeQ [][]request
-	drain  []bool // per channel write-drain mode
-
-	refresh []rankRefresh // per (channel, rank)
-
-	nextID      int64
-	completions []Completion
-	stats       Stats
-	tREFI       int64
+	// st is the queues, refresh obligations and counters the scheduler
+	// mutates; a checkpoint carries it whole (see state.go).
+	st State
 
 	// touched is schedulePass's per-pass bank-dedup scratch: one
 	// generation stamp per bank, bumped each pass, so the per-cycle
@@ -180,10 +172,6 @@ type Controller struct {
 	touched []int64
 	//mcrlint:nosnapshot per-pass scratch, dead between scheduler passes
 	touchedGen int64
-
-	// pendingMode, when non-nil, is a requested MRS mode switch the
-	// controller is draining toward (see modechange.go).
-	pendingMode *mcr.Mode
 
 	// obs/tr, when non-nil, receive row-buffer outcomes, the per-read
 	// stall attribution and MRS events; nil-safe no-ops otherwise.
@@ -211,15 +199,17 @@ func New(cfg Config, dev *dram.Device, rows *alloc.RowMap) (*Controller, error) 
 		geom:    geom,
 		mapper:  mapper,
 		rows:    rows,
-		readQ:   make([][]request, geom.Channels),
-		writeQ:  make([][]request, geom.Channels),
-		drain:   make([]bool, geom.Channels),
-		refresh: make([]rankRefresh, geom.Channels*geom.Ranks),
 		touched: make([]int64, geom.Channels*geom.Ranks*geom.Banks),
-		tREFI:   int64(dev.Timings().Normal.TREFI),
+		st: State{
+			ReadQ:   make([][]Request, geom.Channels),
+			WriteQ:  make([][]Request, geom.Channels),
+			Drain:   make([]bool, geom.Channels),
+			Refresh: make([]RankRefresh, geom.Channels*geom.Ranks),
+			TREFI:   int64(dev.Timings().Normal.TREFI),
+		},
 	}
-	for i := range c.refresh {
-		c.refresh[i].nextDue = c.tREFI
+	for i := range c.st.Refresh {
+		c.st.Refresh[i].NextDue = c.st.TREFI
 	}
 	return c, nil
 }
@@ -231,7 +221,7 @@ func (c *Controller) Device() *dram.Device { return c.dev }
 func (c *Controller) Mapper() *AddressMapper { return c.mapper }
 
 // Stats returns a copy of the counters.
-func (c *Controller) Stats() Stats { return c.stats }
+func (c *Controller) Stats() Stats { return c.st.Stats }
 
 // SetObservability attaches a metrics registry and an event tracer
 // (either may be nil). Attach before the first Tick.
@@ -247,12 +237,12 @@ func (c *Controller) decode(line int64) core.Address {
 
 // CanEnqueueRead reports whether the read queue for line's channel has room.
 func (c *Controller) CanEnqueueRead(line int64) bool {
-	return len(c.readQ[c.decode(line).Channel]) < c.cfg.ReadQueueCap
+	return len(c.st.ReadQ[c.decode(line).Channel]) < c.cfg.ReadQueueCap
 }
 
 // CanEnqueueWrite reports whether the write queue for line's channel has room.
 func (c *Controller) CanEnqueueWrite(line int64) bool {
-	return len(c.writeQ[c.decode(line).Channel]) < c.cfg.WriteQueueCap
+	return len(c.st.WriteQ[c.decode(line).Channel]) < c.cfg.WriteQueueCap
 }
 
 // EnqueueRead queues a read and returns its completion id; ok is false when
@@ -261,29 +251,29 @@ func (c *Controller) CanEnqueueWrite(line int64) bool {
 //mcrlint:hotpath dram request admission (per CPU-issued read)
 func (c *Controller) EnqueueRead(line int64, coreID int, now int64) (int64, bool) {
 	a := c.decode(line)
-	if len(c.readQ[a.Channel]) >= c.cfg.ReadQueueCap {
+	if len(c.st.ReadQ[a.Channel]) >= c.cfg.ReadQueueCap {
 		return 0, false
 	}
 	// Read-around-write: a pending write to the same line can serve the
 	// read immediately (store forwarding at the controller).
-	for _, w := range c.writeQ[a.Channel] {
-		if w.addr == a {
-			id := c.nextID
-			c.nextID++
-			c.completions = append(c.completions, Completion{ID: id, CoreID: coreID, DoneAt: now + 1, ArriveAt: now}) //mcrlint:allow hotalloc DrainCompletions recycles this slice's capacity; steady state appends in place
-			c.stats.ReadsQueued++
-			c.stats.ReadsDone++
-			c.stats.TotalReadLatency++
+	for _, w := range c.st.WriteQ[a.Channel] {
+		if w.Addr == a {
+			id := c.st.NextID
+			c.st.NextID++
+			c.st.Completions = append(c.st.Completions, Completion{ID: id, CoreID: coreID, DoneAt: now + 1, ArriveAt: now}) //mcrlint:allow hotalloc DrainCompletions recycles this slice's capacity; steady state appends in place
+			c.st.Stats.ReadsQueued++
+			c.st.Stats.ReadsDone++
+			c.st.Stats.TotalReadLatency++
 			// Forwarded reads never touch the device: their one cycle is
 			// pure queueing in the stall attribution.
 			c.obs.ObserveRead(obs.AttributeRead(now, -1, -1, now+1, now+1, 0, 0))
 			return id, true
 		}
 	}
-	id := c.nextID
-	c.nextID++
-	c.readQ[a.Channel] = append(c.readQ[a.Channel], request{id: id, kind: core.OpRead, addr: a, coreID: coreID, arriveAt: now, preAt: -1, actAt: -1}) //mcrlint:allow hotalloc bounded by ReadQueueCap; capacity stops growing after the first full queue
-	c.stats.ReadsQueued++
+	id := c.st.NextID
+	c.st.NextID++
+	c.st.ReadQ[a.Channel] = append(c.st.ReadQ[a.Channel], Request{ID: id, Kind: core.OpRead, Addr: a, CoreID: coreID, ArriveAt: now, PreAt: -1, ActAt: -1}) //mcrlint:allow hotalloc bounded by ReadQueueCap; capacity stops growing after the first full queue
+	c.st.Stats.ReadsQueued++
 	return id, true
 }
 
@@ -293,19 +283,19 @@ func (c *Controller) EnqueueRead(line int64, coreID int, now int64) (int64, bool
 //mcrlint:hotpath dram request admission (per CPU-issued write)
 func (c *Controller) EnqueueWrite(line int64, coreID int, now int64) bool {
 	a := c.decode(line)
-	if len(c.writeQ[a.Channel]) >= c.cfg.WriteQueueCap {
+	if len(c.st.WriteQ[a.Channel]) >= c.cfg.WriteQueueCap {
 		return false
 	}
-	c.writeQ[a.Channel] = append(c.writeQ[a.Channel], request{id: -1, kind: core.OpWrite, addr: a, coreID: coreID, arriveAt: now, preAt: -1, actAt: -1}) //mcrlint:allow hotalloc bounded by WriteQueueCap; capacity stops growing after the first full queue
-	c.stats.WritesQueued++
+	c.st.WriteQ[a.Channel] = append(c.st.WriteQ[a.Channel], Request{ID: -1, Kind: core.OpWrite, Addr: a, CoreID: coreID, ArriveAt: now, PreAt: -1, ActAt: -1}) //mcrlint:allow hotalloc bounded by WriteQueueCap; capacity stops growing after the first full queue
+	c.st.Stats.WritesQueued++
 	return true
 }
 
 // Pending returns the number of queued reads and writes.
 func (c *Controller) Pending() (reads, writes int) {
-	for ch := range c.readQ {
-		reads += len(c.readQ[ch])
-		writes += len(c.writeQ[ch])
+	for ch := range c.st.ReadQ {
+		reads += len(c.st.ReadQ[ch])
+		writes += len(c.st.WriteQ[ch])
 	}
 	return
 }
@@ -315,7 +305,7 @@ func (c *Controller) Pending() (reads, writes int) {
 // reallocates it. The returned slice aliases that storage: it is valid
 // until the next Tick or Enqueue call.
 func (c *Controller) DrainCompletions() []Completion {
-	out := c.completions
-	c.completions = c.completions[:0]
+	out := c.st.Completions
+	c.st.Completions = c.st.Completions[:0]
 	return out
 }

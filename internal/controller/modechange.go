@@ -28,13 +28,13 @@ func (c *Controller) RequestModeChange(m mcr.Mode) error {
 	if !c.dev.SupportsModeChange() {
 		return fmt.Errorf("controller: %s device: %w", c.dev.MechanismName(), mech.ErrNoModes)
 	}
-	c.pendingMode = &m
+	c.st.PendingMode = &m
 	return nil
 }
 
 // ModeChangePending reports whether a requested mode switch has not yet
 // been applied.
-func (c *Controller) ModeChangePending() bool { return c.pendingMode != nil }
+func (c *Controller) ModeChangePending() bool { return c.st.PendingMode != nil }
 
 // tickModeChange runs instead of the normal scheduling pass while a mode
 // switch is pending: each channel may spend its command slot precharging
@@ -55,8 +55,8 @@ func (c *Controller) tickModeChange(now int64) {
 	if !allClosed {
 		return
 	}
-	mode := *c.pendingMode
-	c.pendingMode = nil // applied or abandoned: never stall the schedule
+	mode := *c.st.PendingMode
+	c.st.PendingMode = nil // applied or abandoned: never stall the schedule
 	if err := c.dev.SetMode(mode, now); err != nil {
 		// All banks are precharged, so the only failures are config-level
 		// (e.g. a mode the geometry cannot express). Dropping the request
@@ -64,8 +64,8 @@ func (c *Controller) tickModeChange(now int64) {
 		// on the next violation if it still wants the change.
 		return
 	}
-	c.tREFI = int64(c.dev.Timings().Normal.TREFI)
-	c.stats.ModeChanges++
+	c.st.TREFI = int64(c.dev.Timings().Normal.TREFI)
+	c.st.Stats.ModeChanges++
 	c.obs.ModeChange()
 	c.tr.Emit(obs.Event{TS: now, Kind: obs.EvMRS, Channel: -1, Rank: -1, Bank: -1, Row: -1, Arg: int64(mode.K)})
 }

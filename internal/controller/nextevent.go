@@ -11,7 +11,7 @@
 // debts and every device timing gate are all constant. Each potential
 // mutation is therefore gated by a precomputable absolute time:
 //
-//   - refresh-debt accrual: the minimum refresh[i].nextDue;
+//   - refresh-debt accrual: the minimum Refresh[i].NextDue;
 //   - a drain-mode flip: detectable immediately (queue lengths frozen),
 //     so a pending flip forces the span to length zero;
 //   - a forced/opportunistic refresh: the first legal PRE of the rank's
@@ -21,7 +21,7 @@
 //     the generation-stamped first-per-bank walk);
 //   - anti-starvation engaging: the cycle the oldest request's wait
 //     crosses StarvationLimit, which changes the pass shape;
-//   - blocked-slot reclassification: a rank's refreshBusyUntil expiry;
+//   - blocked-slot reclassification: a rank's RefreshBusyUntil expiry;
 //   - close-page housekeeping: the first legal PRE of an unwanted row;
 //   - an MRS drain: the next legal PRE of any open bank, or the MRS
 //     itself once all banks are closed.
@@ -50,19 +50,19 @@ import (
 //mcrlint:hotpath event-engine skip bound (per active step)
 func (c *Controller) NextEventAt(now int64) int64 {
 	from := now + 1
-	if len(c.completions) > 0 {
+	if len(c.st.Completions) > 0 {
 		return from // undrained completions: deliver before skipping
 	}
 	// Refresh-debt accrual is the universal horizon: every rank's debt
-	// counter moves at nextDue, and Tick(now) already advanced nextDue
+	// counter moves at NextDue, and Tick(now) already advanced NextDue
 	// past now.
 	ev := int64(math.MaxInt64)
-	for i := range c.refresh {
-		if c.refresh[i].nextDue < ev {
-			ev = c.refresh[i].nextDue
+	for i := range c.st.Refresh {
+		if c.st.Refresh[i].NextDue < ev {
+			ev = c.st.Refresh[i].NextDue
 		}
 	}
-	if c.pendingMode != nil {
+	if c.st.PendingMode != nil {
 		// MRS drain: each cycle precharges at most one legal open bank;
 		// the switch applies the tick after the last one closes.
 		anyOpen := false
@@ -89,18 +89,18 @@ func (c *Controller) NextEventAt(now int64) int64 {
 		return clampFrom(ev, from)
 	}
 	for ch := 0; ch < c.geom.Channels; ch++ {
-		nr, nw := len(c.readQ[ch]), len(c.writeQ[ch])
-		if drainNext(c.drain[ch], nr, nw, c.cfg.HighWatermark, c.cfg.LowWatermark) != c.drain[ch] {
+		nr, nw := len(c.st.ReadQ[ch]), len(c.st.WriteQ[ch])
+		if drainNext(c.st.Drain[ch], nr, nw, c.cfg.HighWatermark, c.cfg.LowWatermark) != c.st.Drain[ch] {
 			return from // the drain flag flips next tick
 		}
 		for r := 0; r < c.geom.Ranks; r++ {
 			// A refresh window expiring reclassifies blocked slots
-			// (refBlocked vs rasBlocked), so it bounds the span.
+			// (RefBlocked vs RasBlocked), so it bounds the span.
 			if bu, _ := c.dev.RankSpanState(ch, r); bu > now && bu < ev {
 				ev = bu
 			}
-			rr := &c.refresh[ch*c.geom.Ranks+r]
-			if rr.debt >= c.cfg.MaxRefreshDebt || (rr.debt > 0 && !c.rankHasWork(ch, r)) {
+			rr := &c.st.Refresh[ch*c.geom.Ranks+r]
+			if rr.Debt >= c.cfg.MaxRefreshDebt || (rr.Debt > 0 && !c.rankHasWork(ch, r)) {
 				if t := c.refreshIssueAt(ch, r, from); t < ev {
 					ev = t
 				}
@@ -109,14 +109,14 @@ func (c *Controller) NextEventAt(now int64) int64 {
 				return from
 			}
 		}
-		primary, secondary := c.readQ[ch], c.writeQ[ch]
-		if c.drain[ch] {
+		primary, secondary := c.st.ReadQ[ch], c.st.WriteQ[ch]
+		if c.st.Drain[ch] {
 			primary, secondary = secondary, primary
 		}
 		if t := c.queueEventAt(primary, from); t < ev {
 			ev = t
 		}
-		if c.drain[ch] && len(secondary) > 0 {
+		if c.st.Drain[ch] && len(secondary) > 0 {
 			if t := c.queueEventAt(secondary, from); t < ev {
 				ev = t
 			}
@@ -154,17 +154,17 @@ func (c *Controller) NextEventAt(now int64) int64 {
 //
 //mcrlint:hotpath event-engine span replay (per skip)
 func (c *Controller) ReplaySkipped(now, n int64) {
-	if n <= 0 || c.pendingMode != nil {
+	if n <= 0 || c.st.PendingMode != nil {
 		return // an MRS drain never walks the queues
 	}
 	from := now + 1
 	for ch := 0; ch < c.geom.Channels; ch++ {
-		primary, secondary := c.readQ[ch], c.writeQ[ch]
-		if c.drain[ch] {
+		primary, secondary := c.st.ReadQ[ch], c.st.WriteQ[ch]
+		if c.st.Drain[ch] {
 			primary, secondary = secondary, primary
 		}
 		c.replayPass(primary, from, n)
-		if c.drain[ch] && len(secondary) > 0 {
+		if c.st.Drain[ch] && len(secondary) > 0 {
 			c.replayPass(secondary, from, n)
 		}
 	}
@@ -173,7 +173,7 @@ func (c *Controller) ReplaySkipped(now, n int64) {
 // replayPass mirrors schedulePass over one frozen queue: FCFS and
 // starved passes touch only the oldest request; FR-FCFS walks the
 // first-per-bank set through the same generation-stamped dedup scratch.
-func (c *Controller) replayPass(q []request, from, n int64) {
+func (c *Controller) replayPass(q []Request, from, n int64) {
 	if len(q) == 0 {
 		return
 	}
@@ -181,14 +181,14 @@ func (c *Controller) replayPass(q []request, from, n int64) {
 		c.replayBlocked(&q[0], from, n)
 		return
 	}
-	if lim := c.cfg.StarvationLimit; lim > 0 && from-q[0].arriveAt > lim {
+	if lim := c.cfg.StarvationLimit; lim > 0 && from-q[0].ArriveAt > lim {
 		c.replayBlocked(&q[0], from, n)
 		return
 	}
 	c.touchedGen++
 	for i := range q {
 		req := &q[i]
-		bid := req.addr.BankID(c.geom)
+		bid := req.Addr.BankID(c.geom)
 		if c.touched[bid] == c.touchedGen {
 			continue
 		}
@@ -200,24 +200,24 @@ func (c *Controller) replayPass(q []request, from, n int64) {
 // replayBlocked bumps one request's blocked counters exactly as n
 // blocked prepareBank attempts would: a refresh in flight on the rank
 // (constant across the span — NextEventAt capped it at the window's
-// expiry) classifies the slot as refBlocked, an open row's unexpired
-// tRAS/tWR window as rasBlocked; row hits mutate nothing.
-func (c *Controller) replayBlocked(req *request, from, n int64) {
-	if c.dev.IsRowHit(req.addr) {
+// expiry) classifies the slot as RefBlocked, an open row's unexpired
+// tRAS/tWR window as RasBlocked; row hits mutate nothing.
+func (c *Controller) replayBlocked(req *Request, from, n int64) {
+	if c.dev.IsRowHit(req.Addr) {
 		return
 	}
-	busy := c.dev.RefreshBusy(req.addr.Channel, req.addr.Rank, from)
-	if c.dev.OpenRow(req.addr) < 0 {
-		if req.preAt < 0 && req.actAt < 0 && busy {
-			req.refBlocked += n
+	busy := c.dev.RefreshBusy(req.Addr.Channel, req.Addr.Rank, from)
+	if c.dev.OpenRow(req.Addr) < 0 {
+		if req.PreAt < 0 && req.ActAt < 0 && busy {
+			req.RefBlocked += n
 		}
 		return
 	}
-	if req.preAt < 0 {
+	if req.PreAt < 0 {
 		if busy {
-			req.refBlocked += n
+			req.RefBlocked += n
 		} else {
-			req.rasBlocked += n
+			req.RasBlocked += n
 		}
 	}
 }
@@ -227,7 +227,7 @@ func (c *Controller) replayBlocked(req *request, from, n int64) {
 // column time, the first-per-bank set's preparation times, and the
 // anti-starvation threshold of the oldest request. It returns from as
 // soon as one request is ready then, since nothing can come earlier.
-func (c *Controller) queueEventAt(q []request, from int64) int64 {
+func (c *Controller) queueEventAt(q []Request, from int64) int64 {
 	if len(q) == 0 {
 		return math.MaxInt64
 	}
@@ -236,16 +236,16 @@ func (c *Controller) queueEventAt(q []request, from int64) int64 {
 	}
 	ev := int64(math.MaxInt64)
 	if lim := c.cfg.StarvationLimit; lim > 0 {
-		if from-q[0].arriveAt > lim {
+		if from-q[0].ArriveAt > lim {
 			// Already starved: only the oldest request may issue, and the
 			// pass shape cannot change again.
 			return c.requestEventAt(&q[0], from)
 		}
-		ev = q[0].arriveAt + lim + 1 // the cycle starvation engages
+		ev = q[0].ArriveAt + lim + 1 // the cycle starvation engages
 	}
 	for i := range q {
 		req := &q[i]
-		if !c.dev.IsRowHit(req.addr) {
+		if !c.dev.IsRowHit(req.Addr) {
 			continue
 		}
 		if t := c.requestEventAt(req, from); t < ev {
@@ -258,12 +258,12 @@ func (c *Controller) queueEventAt(q []request, from int64) int64 {
 	c.touchedGen++
 	for i := range q {
 		req := &q[i]
-		bid := req.addr.BankID(c.geom)
+		bid := req.Addr.BankID(c.geom)
 		if c.touched[bid] == c.touchedGen {
 			continue
 		}
 		c.touched[bid] = c.touchedGen
-		if c.dev.IsRowHit(req.addr) {
+		if c.dev.IsRowHit(req.Addr) {
 			continue // its column event is already folded in above
 		}
 		if t := c.requestEventAt(req, from); t < ev {
@@ -280,27 +280,27 @@ func (c *Controller) queueEventAt(q []request, from int64) int64 {
 // command (column access for a row hit, ACT for a closed bank, PRE for
 // a conflict) becomes legal. The Earliest* gates are maxima over frozen
 // state, so the command is illegal strictly before the returned cycle.
-func (c *Controller) requestEventAt(req *request, from int64) int64 {
-	if c.dev.IsRowHit(req.addr) {
+func (c *Controller) requestEventAt(req *Request, from int64) int64 {
+	if c.dev.IsRowHit(req.Addr) {
 		var t int64
 		var ok bool
-		if req.kind == core.OpRead {
-			t, ok = c.dev.EarliestRead(req.addr, from)
+		if req.Kind == core.OpRead {
+			t, ok = c.dev.EarliestRead(req.Addr, from)
 		} else {
-			t, ok = c.dev.EarliestWrite(req.addr, from)
+			t, ok = c.dev.EarliestWrite(req.Addr, from)
 		}
 		if ok {
 			return t
 		}
 		return math.MaxInt64
 	}
-	if c.dev.OpenRow(req.addr) < 0 {
-		if t, ok := c.dev.EarliestActivate(req.addr, from); ok {
+	if c.dev.OpenRow(req.Addr) < 0 {
+		if t, ok := c.dev.EarliestActivate(req.Addr, from); ok {
 			return t
 		}
 		return math.MaxInt64
 	}
-	if t, ok := c.dev.EarliestPrecharge(req.addr, from); ok {
+	if t, ok := c.dev.EarliestPrecharge(req.Addr, from); ok {
 		return t
 	}
 	return math.MaxInt64

@@ -14,7 +14,7 @@ import (
 //
 //mcrlint:hotpath controller scheduling (per memory cycle)
 func (c *Controller) Tick(now int64) {
-	if c.pendingMode != nil {
+	if c.st.PendingMode != nil {
 		// A mode switch is draining: no new work until the MRS issues.
 		c.tickModeChange(now)
 		return
@@ -48,11 +48,11 @@ func (c *Controller) tickChannel(ch int, now int64) {
 // updateRefreshDebt accrues one refresh obligation per elapsed tREFI.
 func (c *Controller) updateRefreshDebt(ch int, now int64) {
 	for r := 0; r < c.geom.Ranks; r++ {
-		rr := &c.refresh[ch*c.geom.Ranks+r]
-		for now >= rr.nextDue {
-			rr.debt++
-			rr.nextDue += c.tREFI
-			c.obs.ObserveRefreshDebt(rr.debt)
+		rr := &c.st.Refresh[ch*c.geom.Ranks+r]
+		for now >= rr.NextDue {
+			rr.Debt++
+			rr.NextDue += c.st.TREFI
+			c.obs.ObserveRefreshDebt(rr.Debt)
 		}
 	}
 }
@@ -61,22 +61,22 @@ func (c *Controller) updateRefreshDebt(ch int, now int64) {
 // using the Table 4 watermarks.
 func (c *Controller) updateDrainMode(ch int) {
 	switch {
-	case len(c.writeQ[ch]) >= c.cfg.HighWatermark:
-		c.drain[ch] = true
-	case c.drain[ch] && len(c.writeQ[ch]) <= c.cfg.LowWatermark:
-		c.drain[ch] = false
-	case !c.drain[ch] && len(c.readQ[ch]) == 0 && len(c.writeQ[ch]) > 0:
+	case len(c.st.WriteQ[ch]) >= c.cfg.HighWatermark:
+		c.st.Drain[ch] = true
+	case c.st.Drain[ch] && len(c.st.WriteQ[ch]) <= c.cfg.LowWatermark:
+		c.st.Drain[ch] = false
+	case !c.st.Drain[ch] && len(c.st.ReadQ[ch]) == 0 && len(c.st.WriteQ[ch]) > 0:
 		// Nothing better to do: drain writes while the read queue is empty.
-		c.drain[ch] = true
-	case c.drain[ch] && len(c.readQ[ch]) > 0 && len(c.writeQ[ch]) == 0:
-		c.drain[ch] = false
+		c.st.Drain[ch] = true
+	case c.st.Drain[ch] && len(c.st.ReadQ[ch]) > 0 && len(c.st.WriteQ[ch]) == 0:
+		c.st.Drain[ch] = false
 	}
 }
 
 // issueRefresh pushes one rank toward a REF: precharges open banks, then
 // issues the refresh once legal. Returns true if a command slot was used.
 func (c *Controller) issueRefresh(ch, r int, now int64) bool {
-	rr := &c.refresh[ch*c.geom.Ranks+r]
+	rr := &c.st.Refresh[ch*c.geom.Ranks+r]
 	// Precharge any open bank of the rank first.
 	for b := 0; b < c.geom.Banks; b++ {
 		a := core.Address{Channel: ch, Rank: r, Bank: b}
@@ -91,9 +91,9 @@ func (c *Controller) issueRefresh(ch, r int, now int64) bool {
 	if !c.dev.CanRefresh(ch, r, now) {
 		return false
 	}
-	_, _ = c.dev.Refresh(ch, r, rr.counter, now)
-	rr.counter = (rr.counter + 1) % 8192
-	rr.debt--
+	_, _ = c.dev.Refresh(ch, r, rr.Counter, now)
+	rr.Counter = (rr.Counter + 1) % 8192
+	rr.Debt--
 	return true
 }
 
@@ -102,16 +102,16 @@ func (c *Controller) issueRefresh(ch, r int, now int64) bool {
 // consuming the command slot, so the loop keeps going after one.
 func (c *Controller) serviceForcedRefresh(ch int, now int64) bool {
 	for r := 0; r < c.geom.Ranks; r++ {
-		rr := &c.refresh[ch*c.geom.Ranks+r]
-		if rr.debt < c.cfg.MaxRefreshDebt {
+		rr := &c.st.Refresh[ch*c.geom.Ranks+r]
+		if rr.Debt < c.cfg.MaxRefreshDebt {
 			continue
 		}
-		before := rr.debt
+		before := rr.Debt
 		if c.issueRefresh(ch, r, now) {
-			c.stats.ForcedRefreshes++
+			c.st.Stats.ForcedRefreshes++
 			return true
 		}
-		if rr.debt < before {
+		if rr.Debt < before {
 			return true // a zero-cost skipped REF retired the debt
 		}
 	}
@@ -122,8 +122,8 @@ func (c *Controller) serviceForcedRefresh(ch int, now int64) bool {
 // no queued work, keeping forced (stall-inducing) refreshes rare.
 func (c *Controller) serviceOpportunisticRefresh(ch int, now int64) bool {
 	for r := 0; r < c.geom.Ranks; r++ {
-		rr := &c.refresh[ch*c.geom.Ranks+r]
-		if rr.debt <= 0 || c.rankHasWork(ch, r) {
+		rr := &c.st.Refresh[ch*c.geom.Ranks+r]
+		if rr.Debt <= 0 || c.rankHasWork(ch, r) {
 			continue
 		}
 		if c.issueRefresh(ch, r, now) {
@@ -135,13 +135,13 @@ func (c *Controller) serviceOpportunisticRefresh(ch int, now int64) bool {
 
 // rankHasWork reports whether any queued request targets the rank.
 func (c *Controller) rankHasWork(ch, r int) bool {
-	for i := range c.readQ[ch] {
-		if c.readQ[ch][i].addr.Rank == r {
+	for i := range c.st.ReadQ[ch] {
+		if c.st.ReadQ[ch][i].Addr.Rank == r {
 			return true
 		}
 	}
-	for i := range c.writeQ[ch] {
-		if c.writeQ[ch][i].addr.Rank == r {
+	for i := range c.st.WriteQ[ch] {
+		if c.st.WriteQ[ch][i].Addr.Rank == r {
 			return true
 		}
 	}
@@ -152,8 +152,8 @@ func (c *Controller) rankHasWork(ch, r int) bool {
 // (writes in drain mode, reads otherwise, with a fallback to the other
 // queue when the active one is empty). Returns true if a command issued.
 func (c *Controller) scheduleRequests(ch int, now int64) bool {
-	primary, secondary := &c.readQ[ch], &c.writeQ[ch]
-	if c.drain[ch] {
+	primary, secondary := &c.st.ReadQ[ch], &c.st.WriteQ[ch]
+	if c.st.Drain[ch] {
 		primary, secondary = secondary, primary
 	}
 	if c.schedulePass(ch, *primary, now) {
@@ -162,7 +162,7 @@ func (c *Controller) scheduleRequests(ch int, now int64) bool {
 	// The inactive queue may still use the slot for its own row hits when
 	// the active queue is completely blocked; USIMM does the same to avoid
 	// dead cycles. Only reads sneak in (writes wait for drain mode).
-	if !c.drain[ch] || len(*secondary) == 0 {
+	if !c.st.Drain[ch] || len(*secondary) == 0 {
 		return false
 	}
 	return c.schedulePass(ch, *secondary, now)
@@ -171,7 +171,7 @@ func (c *Controller) scheduleRequests(ch int, now int64) bool {
 // schedulePass tries, in priority order: a ready row-hit column access,
 // then (FR-FCFS) the oldest request's bank-preparation command. For FCFS
 // only the oldest request may issue anything.
-func (c *Controller) schedulePass(ch int, q []request, now int64) bool {
+func (c *Controller) schedulePass(ch int, q []Request, now int64) bool {
 	if len(q) == 0 {
 		return false
 	}
@@ -180,13 +180,13 @@ func (c *Controller) schedulePass(ch int, q []request, now int64) bool {
 	}
 	// Anti-starvation: once the oldest request has waited past the limit,
 	// stop letting younger row hits bypass it.
-	if lim := c.cfg.StarvationLimit; lim > 0 && now-q[0].arriveAt > lim {
+	if lim := c.cfg.StarvationLimit; lim > 0 && now-q[0].ArriveAt > lim {
 		return c.advanceRequest(ch, &q[0], now)
 	}
 	// First-ready: oldest request whose column access is legal this cycle.
 	for i := range q {
 		req := &q[i]
-		if c.dev.IsRowHit(req.addr) && c.tryColumn(ch, req, now) {
+		if c.dev.IsRowHit(req.Addr) && c.tryColumn(ch, req, now) {
 			return true
 		}
 	}
@@ -198,7 +198,7 @@ func (c *Controller) schedulePass(ch int, q []request, now int64) bool {
 	c.touchedGen++
 	for i := range q {
 		req := &q[i]
-		bid := req.addr.BankID(c.geom)
+		bid := req.Addr.BankID(c.geom)
 		if c.touched[bid] == c.touchedGen {
 			continue
 		}
@@ -212,8 +212,8 @@ func (c *Controller) schedulePass(ch int, q []request, now int64) bool {
 
 // advanceRequest moves a single request forward by whatever command it
 // needs next (FCFS path).
-func (c *Controller) advanceRequest(ch int, req *request, now int64) bool {
-	if c.dev.IsRowHit(req.addr) {
+func (c *Controller) advanceRequest(ch int, req *Request, now int64) bool {
+	if c.dev.IsRowHit(req.Addr) {
 		return c.tryColumn(ch, req, now)
 	}
 	return c.prepareBank(ch, req, now)
@@ -221,38 +221,38 @@ func (c *Controller) advanceRequest(ch int, req *request, now int64) bool {
 
 // tryColumn issues the RD/WR of a row-hitting request if legal, retiring it
 // from its queue.
-func (c *Controller) tryColumn(ch int, req *request, now int64) bool {
-	if req.kind == core.OpRead {
-		if !c.dev.CanRead(req.addr, now) {
+func (c *Controller) tryColumn(ch int, req *Request, now int64) bool {
+	if req.Kind == core.OpRead {
+		if !c.dev.CanRead(req.Addr, now) {
 			return false
 		}
-		c.stats.RowHits++
+		c.st.Stats.RowHits++
 		c.obs.RowHit()
-		done := c.dev.Read(req.addr, now)
+		done := c.dev.Read(req.Addr, now)
 		// Copy before removal: req points into the queue, and removal
 		// shifts later requests into its slot.
 		r := *req
-		c.removeRequest(&c.readQ[ch], r.id)
-		c.completions = append(c.completions, Completion{ID: r.id, CoreID: r.coreID, DoneAt: done, ArriveAt: r.arriveAt}) //mcrlint:allow hotalloc DrainCompletions recycles this slice's capacity; steady state appends in place
-		c.stats.ReadsDone++
-		c.stats.TotalReadLatency += done - r.arriveAt
-		c.obs.ObserveRead(obs.AttributeRead(r.arriveAt, r.preAt, r.actAt, now, done, r.rasBlocked, r.refBlocked))
-		if _, inMCR := c.dev.RowParams(r.addr.Row); inMCR {
-			c.stats.MCRReads++
+		c.removeRequest(&c.st.ReadQ[ch], r.ID)
+		c.st.Completions = append(c.st.Completions, Completion{ID: r.ID, CoreID: r.CoreID, DoneAt: done, ArriveAt: r.ArriveAt}) //mcrlint:allow hotalloc DrainCompletions recycles this slice's capacity; steady state appends in place
+		c.st.Stats.ReadsDone++
+		c.st.Stats.TotalReadLatency += done - r.ArriveAt
+		c.obs.ObserveRead(obs.AttributeRead(r.ArriveAt, r.PreAt, r.ActAt, now, done, r.RasBlocked, r.RefBlocked))
+		if _, inMCR := c.dev.RowParams(r.Addr.Row); inMCR {
+			c.st.Stats.MCRReads++
 		}
-		c.postColumn(r.addr, now)
+		c.postColumn(r.Addr, now)
 		return true
 	}
-	if !c.dev.CanWrite(req.addr, now) {
+	if !c.dev.CanWrite(req.Addr, now) {
 		return false
 	}
-	c.stats.RowHits++
+	c.st.Stats.RowHits++
 	c.obs.RowHit()
-	c.dev.Write(req.addr, now)
+	c.dev.Write(req.Addr, now)
 	r := *req
-	c.removeWrite(&c.writeQ[ch], r)
-	c.stats.WritesDone++
-	c.postColumn(r.addr, now)
+	c.removeWrite(&c.st.WriteQ[ch], r)
+	c.st.Stats.WritesDone++
+	c.postColumn(r.Addr, now)
 	return true
 }
 
@@ -272,33 +272,33 @@ func (c *Controller) postColumn(a core.Address, now int64) {
 // the request's own PRE/ACT are classified: refresh in flight on the rank
 // counts toward tRFC, an open row still inside its tRAS/tWR window toward
 // the tRAS tail; everything else stays queueing by default.
-func (c *Controller) prepareBank(ch int, req *request, now int64) bool {
-	open := c.dev.OpenRow(req.addr)
+func (c *Controller) prepareBank(ch int, req *Request, now int64) bool {
+	open := c.dev.OpenRow(req.Addr)
 	switch {
 	case open < 0:
-		if c.dev.CanActivate(req.addr, now) {
-			c.dev.Activate(req.addr, now)
-			c.stats.RowMisses++
+		if c.dev.CanActivate(req.Addr, now) {
+			c.dev.Activate(req.Addr, now)
+			c.st.Stats.RowMisses++
 			c.obs.RowMiss()
-			req.actAt = now
+			req.ActAt = now
 			return true
 		}
-		if req.preAt < 0 && req.actAt < 0 && c.dev.RefreshBusy(req.addr.Channel, req.addr.Rank, now) {
-			req.refBlocked++
+		if req.PreAt < 0 && req.ActAt < 0 && c.dev.RefreshBusy(req.Addr.Channel, req.Addr.Rank, now) {
+			req.RefBlocked++
 		}
-	case !c.dev.IsRowHit(req.addr):
-		if c.dev.CanPrecharge(req.addr, now) {
-			c.dev.Precharge(req.addr, now)
-			c.stats.RowConflicts++
+	case !c.dev.IsRowHit(req.Addr):
+		if c.dev.CanPrecharge(req.Addr, now) {
+			c.dev.Precharge(req.Addr, now)
+			c.st.Stats.RowConflicts++
 			c.obs.RowConflict()
-			req.preAt = now
+			req.PreAt = now
 			return true
 		}
-		if req.preAt < 0 {
-			if c.dev.RefreshBusy(req.addr.Channel, req.addr.Rank, now) {
-				req.refBlocked++
+		if req.PreAt < 0 {
+			if c.dev.RefreshBusy(req.Addr.Channel, req.Addr.Rank, now) {
+				req.RefBlocked++
 			} else {
-				req.rasBlocked++
+				req.RasBlocked++
 			}
 		}
 	}
@@ -312,9 +312,9 @@ func (c *Controller) rowWanted(a core.Address) bool {
 	if open < 0 {
 		return false
 	}
-	for _, q := range [][]request{c.readQ[a.Channel], c.writeQ[a.Channel]} {
+	for _, q := range [][]Request{c.st.ReadQ[a.Channel], c.st.WriteQ[a.Channel]} {
 		for i := range q {
-			r := q[i].addr
+			r := q[i].Addr
 			if r.Rank == a.Rank && r.Bank == a.Bank && c.dev.IsRowHit(r) {
 				return true
 			}
@@ -341,9 +341,9 @@ func (c *Controller) scheduleHousekeeping(ch int, now int64) {
 }
 
 // removeRequest deletes a read by id, preserving order.
-func (c *Controller) removeRequest(q *[]request, id int64) {
+func (c *Controller) removeRequest(q *[]Request, id int64) {
 	for i := range *q {
-		if (*q)[i].id == id {
+		if (*q)[i].ID == id {
 			*q = append((*q)[:i], (*q)[i+1:]...) //mcrlint:allow hotalloc in-place remove idiom: the result is strictly shorter, never reallocates
 			return
 		}
@@ -352,9 +352,9 @@ func (c *Controller) removeRequest(q *[]request, id int64) {
 
 // removeWrite deletes the first write matching the request's address and
 // arrival, preserving order.
-func (c *Controller) removeWrite(q *[]request, req request) {
+func (c *Controller) removeWrite(q *[]Request, req Request) {
 	for i := range *q {
-		if (*q)[i].addr == req.addr && (*q)[i].arriveAt == req.arriveAt {
+		if (*q)[i].Addr == req.Addr && (*q)[i].ArriveAt == req.ArriveAt {
 			*q = append((*q)[:i], (*q)[i+1:]...) //mcrlint:allow hotalloc in-place remove idiom: the result is strictly shorter, never reallocates
 			return
 		}

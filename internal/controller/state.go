@@ -1,136 +1,84 @@
-// Checkpoint support for the controller: queues, write-drain flags,
+// Checkpoint support for the controller. Queues, write-drain flags,
 // refresh obligations, the completion list, the MRS-drain target and the
-// cached tREFI, exported flat and reinstated on a freshly built
-// controller over the (already restored) device.
+// cached tREFI live in one State value the scheduler reads and writes
+// directly, so a checkpoint is a copy of it.
 
 package controller
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/core"
 	"repro/internal/mcr"
 )
 
-// RequestState mirrors request for serialization.
-type RequestState struct {
-	ID       int64
-	Kind     core.OpKind
-	Addr     core.Address
-	CoreID   int
-	ArriveAt int64
-
-	PreAt, ActAt           int64
-	RasBlocked, RefBlocked int64
-}
-
-// RefreshState mirrors rankRefresh for serialization.
-type RefreshState struct {
-	NextDue int64
-	Debt    int
-	Counter int
-}
-
-// State is the checkpointable state of a controller. The schedulePass
+// State is the controller's mutable state: the storage the scheduler
+// works on, and the value a checkpoint carries. The schedulePass
 // bank-dedup scratch (touched/touchedGen) is per-pass and intentionally
 // absent: a restored controller starts it from zero, which is
 // indistinguishable to the scheduler.
 type State struct {
-	ReadQ  [][]RequestState
-	WriteQ [][]RequestState
-	Drain  []bool
+	ReadQ  [][]Request // per channel
+	WriteQ [][]Request
+	Drain  []bool // per channel write-drain mode
 
-	Refresh []RefreshState
+	Refresh []RankRefresh // per (channel, rank)
 
 	NextID      int64
 	Completions []Completion
 	Stats       Stats
 	TREFI       int64
 
+	// PendingMode, when non-nil, is a requested MRS mode switch the
+	// controller is draining toward (see modechange.go).
 	PendingMode *mcr.Mode
 }
 
-// exportQueue flattens one per-channel request queue.
-func exportQueue(q [][]request) [][]RequestState {
-	out := make([][]RequestState, len(q))
-	for ch, reqs := range q {
-		if len(reqs) == 0 {
-			continue
-		}
-		out[ch] = make([]RequestState, len(reqs))
-		for i, r := range reqs {
-			out[ch][i] = RequestState{
-				ID: r.id, Kind: r.kind, Addr: r.addr, CoreID: r.coreID, ArriveAt: r.arriveAt,
-				PreAt: r.preAt, ActAt: r.actAt, RasBlocked: r.rasBlocked, RefBlocked: r.refBlocked,
-			}
-		}
+// ExportState returns a copy of the controller's state, sharing no
+// mutable storage with the live controller, for a checkpoint.
+func (c *Controller) ExportState() State {
+	st := c.st
+	st.ReadQ, st.WriteQ = cloneQueues(st.ReadQ), cloneQueues(st.WriteQ)
+	st.Drain = slices.Clone(st.Drain)
+	st.Refresh = slices.Clone(st.Refresh)
+	st.Completions = slices.Clone(st.Completions)
+	return st
+}
+
+// cloneQueues copies per-channel request queues.
+func cloneQueues(q [][]Request) [][]Request {
+	out := make([][]Request, len(q))
+	for ch := range q {
+		out[ch] = slices.Clone(q[ch])
 	}
 	return out
 }
 
-// importQueue reinstates one per-channel request queue.
-func importQueue(dst [][]request, src [][]RequestState) {
-	for ch := range dst {
-		dst[ch] = dst[ch][:0]
-		if ch >= len(src) {
-			continue
-		}
-		for _, r := range src[ch] {
-			dst[ch] = append(dst[ch], request{
-				id: r.ID, kind: r.Kind, addr: r.Addr, coreID: r.CoreID, arriveAt: r.ArriveAt,
-				preAt: r.PreAt, actAt: r.ActAt, rasBlocked: r.RasBlocked, refBlocked: r.RefBlocked,
-			})
-		}
-	}
-}
-
-// ExportState copies the controller's mutable state out for a checkpoint.
-func (c *Controller) ExportState() State {
-	st := State{
-		ReadQ:       exportQueue(c.readQ),
-		WriteQ:      exportQueue(c.writeQ),
-		Drain:       append([]bool(nil), c.drain...),
-		Refresh:     make([]RefreshState, len(c.refresh)),
-		NextID:      c.nextID,
-		Completions: append([]Completion(nil), c.completions...),
-		Stats:       c.stats,
-		TREFI:       c.tREFI,
-	}
-	for i, r := range c.refresh {
-		st.Refresh[i] = RefreshState{NextDue: r.nextDue, Debt: r.debt, Counter: r.counter}
-	}
-	if c.pendingMode != nil {
-		m := *c.pendingMode
-		st.PendingMode = &m
-	}
-	return st
-}
-
 // ImportState reinstates a checkpointed state on a freshly built
-// controller of the same configuration.
+// controller of the same configuration, which takes ownership of st's
+// storage. Queued requests must address the geometry and sit in their
+// own channel's queue; the core ids they and the completions carry are
+// the caller's to check.
 func (c *Controller) ImportState(st State) error {
 	switch {
-	case len(st.ReadQ) != len(c.readQ) || len(st.WriteQ) != len(c.writeQ) || len(st.Drain) != len(c.drain):
+	case len(st.ReadQ) != len(c.st.ReadQ) || len(st.WriteQ) != len(c.st.WriteQ) || len(st.Drain) != len(c.st.Drain):
 		return fmt.Errorf("controller: checkpoint channel count does not match the configuration")
-	case len(st.Refresh) != len(c.refresh):
-		return fmt.Errorf("controller: checkpoint has %d rank-refresh entries, controller has %d", len(st.Refresh), len(c.refresh))
+	case len(st.Refresh) != len(c.st.Refresh):
+		return fmt.Errorf("controller: checkpoint has %d rank-refresh entries, controller has %d", len(st.Refresh), len(c.st.Refresh))
 	case st.TREFI <= 0:
 		return fmt.Errorf("controller: checkpointed tREFI must be positive, got %d", st.TREFI)
 	}
-	importQueue(c.readQ, st.ReadQ)
-	importQueue(c.writeQ, st.WriteQ)
-	copy(c.drain, st.Drain)
-	for i, r := range st.Refresh {
-		c.refresh[i] = rankRefresh{nextDue: r.NextDue, debt: r.Debt, counter: r.Counter}
+	g := c.geom
+	for _, queues := range [][][]Request{st.ReadQ, st.WriteQ} {
+		for ch, q := range queues {
+			for _, r := range q {
+				a := r.Addr
+				if a.Channel != ch || a.Rank < 0 || a.Rank >= g.Ranks || a.Bank < 0 || a.Bank >= g.Banks || a.Row < 0 || a.Row >= g.Rows {
+					return fmt.Errorf("controller: checkpointed request %d on channel %d has address %v outside the geometry", r.ID, ch, a)
+				}
+			}
+		}
 	}
-	c.nextID = st.NextID
-	c.completions = append(c.completions[:0], st.Completions...)
-	c.stats = st.Stats
-	c.tREFI = st.TREFI
-	c.pendingMode = nil
-	if st.PendingMode != nil {
-		m := *st.PendingMode
-		c.pendingMode = &m
-	}
+	c.st = st
 	return nil
 }

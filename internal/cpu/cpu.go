@@ -42,38 +42,26 @@ type MemorySystem interface {
 	EnqueueWrite(line int64, coreID int, now int64) bool
 }
 
-// robEntry is one ROB slot: either a run of non-memory instructions
-// (count > 0, readID < 0) or a single memory read in flight.
-type robEntry struct {
-	count  int   // non-memory instructions represented (1 for a read)
-	readID int64 // completion id for reads, -1 otherwise
-	done   bool
+// ROBEntry is one ROB slot: either a run of non-memory instructions
+// (Count > 0, ReadID < 0) or a single memory read in flight.
+type ROBEntry struct {
+	Count  int   // non-memory instructions represented (1 for a read)
+	ReadID int64 // completion id for reads, -1 otherwise
+	Done   bool
 }
 
 // Core is one trace-driven processor.
 type Core struct {
-	cfg Config
-	id  int
-	gen *trace.Generator
-	mem MemorySystem
+	cfg        Config
+	id         int
+	gen        *trace.Generator
+	mem        MemorySystem
+	totalInsts int64
 
-	rob       []robEntry // ring buffer
-	head, sz  int        // sz = occupied entries
-	occupancy int        // instructions currently in the ROB
-
-	pending    Record // the stalled record waiting for queue space
-	hasPending bool
-	tailGap    int // non-memory instructions still to fetch before pending
-
-	retired       int64
-	totalInsts    int64
-	readsInFlight map[int64]int // readID -> rob index
-
-	// Metrics.
-	ReadsIssued  int64
-	WritesIssued int64
-	FetchStalls  int64
-	doneAt       int64
+	// State is everything Cycle mutates; a checkpoint carries it whole
+	// (see state.go). Its metric counters (ReadsIssued, WritesIssued,
+	// FetchStalls) read straight off the core.
+	State
 }
 
 // Record aliases the trace record for the pending slot.
@@ -88,32 +76,34 @@ func New(cfg Config, id int, gen *trace.Generator, mem MemorySystem, totalInsts 
 		return nil, fmt.Errorf("cpu: core %d needs a generator and a memory system", id)
 	}
 	return &Core{
-		cfg:           cfg,
-		id:            id,
-		gen:           gen,
-		mem:           mem,
-		rob:           make([]robEntry, cfg.ROBSize),
-		totalInsts:    totalInsts,
-		readsInFlight: make(map[int64]int),
-		doneAt:        -1,
+		cfg:        cfg,
+		id:         id,
+		gen:        gen,
+		mem:        mem,
+		totalInsts: totalInsts,
+		State: State{
+			ROB:           make([]ROBEntry, cfg.ROBSize),
+			ReadsInFlight: make(map[int64]int),
+			DoneAt:        -1,
+		},
 	}, nil
 }
 
 // Done reports whether the core has retired its whole trace.
-func (c *Core) Done() bool { return c.retired >= c.totalInsts }
+func (c *Core) Done() bool { return c.State.Retired >= c.totalInsts }
 
 // DoneAt returns the CPU cycle the last instruction retired, or -1.
-func (c *Core) DoneAt() int64 { return c.doneAt }
+func (c *Core) DoneAt() int64 { return c.State.DoneAt }
 
 // Retired returns the retired instruction count.
-func (c *Core) Retired() int64 { return c.retired }
+func (c *Core) Retired() int64 { return c.State.Retired }
 
 // Complete marks an outstanding read finished (called when the controller
 // reports the completion id).
 func (c *Core) Complete(readID int64) {
-	if idx, ok := c.readsInFlight[readID]; ok {
-		c.rob[idx].done = true
-		delete(c.readsInFlight, readID)
+	if idx, ok := c.ReadsInFlight[readID]; ok {
+		c.ROB[idx].Done = true
+		delete(c.ReadsInFlight, readID)
 	}
 }
 
@@ -133,26 +123,26 @@ func (c *Core) retire(now int64) {
 		return // pipeline still filling
 	}
 	budget := c.cfg.RetireWidth
-	for budget > 0 && c.sz > 0 {
-		e := &c.rob[c.head]
-		if e.readID >= 0 && !e.done {
+	for budget > 0 && c.Sz > 0 {
+		e := &c.ROB[c.Head]
+		if e.ReadID >= 0 && !e.Done {
 			return // head read still waiting on DRAM
 		}
-		take := e.count
+		take := e.Count
 		if take > budget {
 			take = budget
 		}
-		e.count -= take
+		e.Count -= take
 		budget -= take
-		c.retired += int64(take)
-		c.occupancy -= take
-		if e.count == 0 {
-			e.readID = -1
-			c.head = (c.head + 1) % len(c.rob)
-			c.sz--
+		c.State.Retired += int64(take)
+		c.Occupancy -= take
+		if e.Count == 0 {
+			e.ReadID = -1
+			c.Head = (c.Head + 1) % len(c.ROB)
+			c.Sz--
 		}
-		if c.retired >= c.totalInsts && c.doneAt < 0 {
-			c.doneAt = now
+		if c.State.Retired >= c.totalInsts && c.State.DoneAt < 0 {
+			c.State.DoneAt = now
 			return
 		}
 	}
@@ -163,49 +153,49 @@ func (c *Core) retire(now int64) {
 func (c *Core) fetch(memNow int64) {
 	budget := c.cfg.FetchWidth
 	for budget > 0 {
-		if c.occupancy >= c.cfg.ROBSize {
+		if c.Occupancy >= c.cfg.ROBSize {
 			return // ROB full
 		}
-		if !c.hasPending {
+		if !c.HasPending {
 			rec, ok := c.gen.Next()
 			if !ok {
 				return // trace exhausted; drain remains
 			}
-			c.pending, c.hasPending = rec, true
-			c.tailGap = rec.Gap
+			c.Pending, c.HasPending = rec, true
+			c.TailGap = rec.Gap
 		}
 		// Fetch the non-memory run preceding the memory op.
-		if c.tailGap > 0 {
-			n := min(budget, c.tailGap, c.cfg.ROBSize-c.occupancy)
+		if c.TailGap > 0 {
+			n := min(budget, c.TailGap, c.cfg.ROBSize-c.Occupancy)
 			c.pushNonMem(n)
-			c.tailGap -= n
+			c.TailGap -= n
 			budget -= n
 			continue
 		}
-		if c.pending.Line < 0 {
+		if c.Pending.Line < 0 {
 			// Pure-gap sentinel record fully fetched.
-			c.hasPending = false
+			c.HasPending = false
 			continue
 		}
 		// Dispatch the memory operation itself (one instruction).
-		if c.pending.Kind == core.OpRead {
-			id, ok := c.mem.EnqueueRead(c.pending.Line, c.id, memNow)
+		if c.Pending.Kind == core.OpRead {
+			id, ok := c.mem.EnqueueRead(c.Pending.Line, c.id, memNow)
 			if !ok {
 				c.FetchStalls++
 				return // read queue full
 			}
-			idx := c.pushEntry(robEntry{count: 1, readID: id})
-			c.readsInFlight[id] = idx
+			idx := c.pushEntry(ROBEntry{Count: 1, ReadID: id})
+			c.ReadsInFlight[id] = idx
 			c.ReadsIssued++
 		} else {
-			if !c.mem.EnqueueWrite(c.pending.Line, c.id, memNow) {
+			if !c.mem.EnqueueWrite(c.Pending.Line, c.id, memNow) {
 				c.FetchStalls++
 				return // write queue full
 			}
-			c.pushEntry(robEntry{count: 1, readID: -1, done: true})
+			c.pushEntry(ROBEntry{Count: 1, ReadID: -1, Done: true})
 			c.WritesIssued++
 		}
-		c.hasPending = false
+		c.HasPending = false
 		budget--
 	}
 }
@@ -215,24 +205,24 @@ func (c *Core) pushNonMem(n int) {
 	if n <= 0 {
 		return
 	}
-	if c.sz > 0 {
-		tail := (c.head + c.sz - 1) % len(c.rob)
-		e := &c.rob[tail]
-		if e.readID < 0 {
-			e.count += n
-			c.occupancy += n
+	if c.Sz > 0 {
+		tail := (c.Head + c.Sz - 1) % len(c.ROB)
+		e := &c.ROB[tail]
+		if e.ReadID < 0 {
+			e.Count += n
+			c.Occupancy += n
 			return
 		}
 	}
-	c.pushEntry(robEntry{count: n, readID: -1, done: true})
+	c.pushEntry(ROBEntry{Count: n, ReadID: -1, Done: true})
 }
 
 // pushEntry appends a ROB entry, returning its ring index.
-func (c *Core) pushEntry(e robEntry) int {
-	idx := (c.head + c.sz) % len(c.rob)
-	c.rob[idx] = e
-	c.sz++
-	c.occupancy += e.count
+func (c *Core) pushEntry(e ROBEntry) int {
+	idx := (c.Head + c.Sz) % len(c.ROB)
+	c.ROB[idx] = e
+	c.Sz++
+	c.Occupancy += e.Count
 	return idx
 }
 

@@ -31,14 +31,14 @@ func (c *Core) SkipBound() int64 {
 	if c.Done() {
 		return math.MaxInt64
 	}
-	if len(c.readsInFlight) > 0 {
+	if len(c.ReadsInFlight) > 0 {
 		// A read is outstanding. If it blocks the ROB head and fetch can
 		// make no progress either (ROB full, or the trace is spent with
 		// nothing buffered), every cycle until its completion is a pure
 		// no-op. Any other shape (head retirable, fetch refilling) must
 		// step.
-		if c.sz > 0 && c.rob[c.head].readID >= 0 && !c.rob[c.head].done &&
-			(c.occupancy >= c.cfg.ROBSize || (!c.hasPending && c.gen.Exhausted())) {
+		if c.Sz > 0 && c.ROB[c.Head].ReadID >= 0 && !c.ROB[c.Head].Done &&
+			(c.Occupancy >= c.cfg.ROBSize || (!c.HasPending && c.gen.Exhausted())) {
 			return math.MaxInt64
 		}
 		return 0
@@ -49,19 +49,19 @@ func (c *Core) SkipBound() int64 {
 	// quiescent forever.
 	var fetchBound int64
 	switch {
-	case c.hasPending:
+	case c.HasPending:
 		// Consuming at most FetchWidth gap instructions per cycle keeps
-		// tailGap > 0 (so the memory op cannot dispatch) for this many
+		// TailGap > 0 (so the memory op cannot dispatch) for this many
 		// cycles.
-		fetchBound = int64(c.tailGap-1) / int64(c.cfg.FetchWidth)
+		fetchBound = int64(c.TailGap-1) / int64(c.cfg.FetchWidth)
 	case c.gen.Exhausted():
 		fetchBound = math.MaxInt64
 	default:
 		return 0 // next fetch consumes a trace record
 	}
 	// Retiring at most RetireWidth per cycle keeps the core short of its
-	// final instruction (and of the doneAt stamp) for this many cycles.
-	retireBound := (c.totalInsts - 1 - c.retired) / int64(c.cfg.RetireWidth)
+	// final instruction (and of the DoneAt stamp) for this many cycles.
+	retireBound := (c.totalInsts - 1 - c.State.Retired) / int64(c.cfg.RetireWidth)
 	if retireBound < fetchBound {
 		return retireBound
 	}
@@ -84,24 +84,24 @@ func (c *Core) FastForward(now, k int64) {
 	rw := int64(c.cfg.RetireWidth)
 	steady := c.cfg.FetchWidth >= c.cfg.RetireWidth && c.cfg.ROBSize > c.cfg.RetireWidth
 	for k > 0 {
-		if steady && c.sz == 1 && c.occupancy == c.cfg.ROBSize &&
-			c.rob[c.head].readID < 0 && c.hasPending &&
+		if steady && c.Sz == 1 && c.Occupancy == c.cfg.ROBSize &&
+			c.ROB[c.Head].ReadID < 0 && c.HasPending &&
 			now >= int64(c.cfg.PipelineDepth) {
 			// Per cycle: retire drains RetireWidth from the single merged
 			// entry, fetch refills exactly RetireWidth from the gap — the
-			// ROB is invariant, only retired/tailGap move. Hold the state
+			// ROB is invariant, only Retired/TailGap move. Hold the state
 			// while the gap stays above FetchWidth and the final
 			// instruction stays out of reach.
 			n := k
-			if m := (int64(c.tailGap)-int64(c.cfg.FetchWidth)-1)/rw + 1; m < n {
+			if m := (int64(c.TailGap)-int64(c.cfg.FetchWidth)-1)/rw + 1; m < n {
 				n = m
 			}
-			if m := (c.totalInsts - 1 - c.retired) / rw; m < n {
+			if m := (c.totalInsts - 1 - c.State.Retired) / rw; m < n {
 				n = m
 			}
 			if n > 0 {
-				c.retired += n * rw
-				c.tailGap -= int(n * rw)
+				c.State.Retired += n * rw
+				c.TailGap -= int(n * rw)
 				now += n
 				k -= n
 				continue

@@ -35,7 +35,7 @@ func TestFastForwardMatchesStepping(t *testing.T) {
 				if now > 100_000_000 {
 					t.Fatal("run did not terminate")
 				}
-				if len(c.readsInFlight) == 0 {
+				if len(c.ReadsInFlight) == 0 {
 					if b := c.SkipBound(); b > 0 {
 						k := b
 						if k > 4096 {
@@ -83,7 +83,7 @@ func TestSkipBoundZeroWhileProgressing(t *testing.T) {
 	sawUnbounded := false
 	for !c.Done() && now < 10_000_000 {
 		b := c.SkipBound()
-		if len(c.readsInFlight) > 0 && b > 0 {
+		if len(c.ReadsInFlight) > 0 && b > 0 {
 			// A positive bound with reads in flight must mean a pure
 			// stall: stepping without delivering completions cannot
 			// change anything.

@@ -1,94 +1,75 @@
-// Checkpoint support for the core model: the ROB ring (raw, so ring
+// Checkpoint support for the core model. The ROB ring (raw, so ring
 // arithmetic resumes bit-exactly), the pending trace record, the
-// in-flight read map and the trace generator's replay position.
+// in-flight read map and the metric counters live in the State the core
+// embeds; a checkpoint is a copy of it plus the trace generator's replay
+// position.
 
 package cpu
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
-// ROBEntryState mirrors robEntry for serialization.
-type ROBEntryState struct {
-	Count  int
-	ReadID int64
-	Done   bool
-}
-
-// ReadInFlight records one outstanding read's ROB slot.
-type ReadInFlight struct {
-	ID  int64
-	Idx int
-}
-
-// State is the checkpointable state of one core. GenCalls is the trace
-// generator's successful-Next count; the generator itself is rebuilt from
-// its constructor arguments and replayed that far (see trace.Replay).
+// State is one core's mutable state: the storage Cycle works on, and
+// the value a checkpoint carries.
 type State struct {
-	ROB           []ROBEntryState
-	Head, Sz      int
-	Occupancy     int
-	Pending       Record
-	HasPending    bool
-	TailGap       int
+	ROB       []ROBEntry // ring buffer
+	Head, Sz  int        // Sz = occupied entries
+	Occupancy int        // instructions currently in the ROB
+
+	Pending    Record // the stalled record waiting for queue space
+	HasPending bool
+	TailGap    int // non-memory instructions still to fetch before Pending
+
 	Retired       int64
-	ReadsInFlight []ReadInFlight
-	ReadsIssued   int64
-	WritesIssued  int64
-	FetchStalls   int64
-	DoneAt        int64
-	GenCalls      int64
+	ReadsInFlight map[int64]int // readID -> ROB index
+
+	// Metrics.
+	ReadsIssued  int64
+	WritesIssued int64
+	FetchStalls  int64
+	DoneAt       int64
+
+	// GenCalls is filled on export only: the trace generator's
+	// successful-Next count. The generator itself is rebuilt from its
+	// constructor arguments and replayed that far (see trace.Replay).
+	GenCalls int64
 }
 
-// ExportState copies the core's mutable state out for a checkpoint.
+// ExportState returns a copy of the core's state, sharing no storage
+// with the live core, for a checkpoint.
 func (c *Core) ExportState() State {
-	st := State{
-		ROB:          make([]ROBEntryState, len(c.rob)),
-		Head:         c.head,
-		Sz:           c.sz,
-		Occupancy:    c.occupancy,
-		Pending:      c.pending,
-		HasPending:   c.hasPending,
-		TailGap:      c.tailGap,
-		Retired:      c.retired,
-		ReadsIssued:  c.ReadsIssued,
-		WritesIssued: c.WritesIssued,
-		FetchStalls:  c.FetchStalls,
-		DoneAt:       c.doneAt,
-		GenCalls:     c.gen.Calls(),
-	}
-	for i, e := range c.rob {
-		st.ROB[i] = ROBEntryState{Count: e.count, ReadID: e.readID, Done: e.done}
-	}
-	for id, idx := range c.readsInFlight { //mcrlint:allow determinism sorted immediately below, order-free
-		st.ReadsInFlight = append(st.ReadsInFlight, ReadInFlight{ID: id, Idx: idx})
-	}
-	sort.Slice(st.ReadsInFlight, func(i, j int) bool { return st.ReadsInFlight[i].ID < st.ReadsInFlight[j].ID })
+	st := c.State
+	st.ROB = slices.Clone(st.ROB)
+	st.ReadsInFlight = maps.Clone(st.ReadsInFlight)
+	st.GenCalls = c.gen.Calls()
 	return st
 }
 
 // ImportState reinstates a checkpointed state on a freshly built core of
-// the same configuration, replaying the trace generator to its
-// checkpointed position.
+// the same configuration, which takes ownership of st's storage,
+// replaying the trace generator to its checkpointed position.
 func (c *Core) ImportState(st State) error {
-	if len(st.ROB) != len(c.rob) {
-		return fmt.Errorf("cpu: core %d checkpoint has %d ROB entries, config has %d", c.id, len(st.ROB), len(c.rob))
+	n := len(c.ROB)
+	switch {
+	case len(st.ROB) != n:
+		return fmt.Errorf("cpu: core %d checkpoint has %d ROB entries, config has %d", c.id, len(st.ROB), n)
+	case st.Head < 0 || st.Head >= n || st.Sz < 0 || st.Sz > n:
+		return fmt.Errorf("cpu: core %d checkpoint ROB head %d / size %d out of range for %d entries", c.id, st.Head, st.Sz, n)
+	}
+	for _, idx := range st.ReadsInFlight {
+		if idx < 0 || idx >= n {
+			return fmt.Errorf("cpu: core %d checkpoint has an in-flight read outside the %d-entry ROB", c.id, n)
+		}
 	}
 	if err := c.gen.Replay(st.GenCalls); err != nil {
 		return fmt.Errorf("cpu: core %d: %w", c.id, err)
 	}
-	for i, e := range st.ROB {
-		c.rob[i] = robEntry{count: e.Count, readID: e.ReadID, done: e.Done}
+	if st.ReadsInFlight == nil {
+		st.ReadsInFlight = make(map[int64]int)
 	}
-	c.head, c.sz, c.occupancy = st.Head, st.Sz, st.Occupancy
-	c.pending, c.hasPending, c.tailGap = st.Pending, st.HasPending, st.TailGap
-	c.retired = st.Retired
-	c.readsInFlight = make(map[int64]int, len(st.ReadsInFlight))
-	for _, r := range st.ReadsInFlight {
-		c.readsInFlight[r.ID] = r.Idx
-	}
-	c.ReadsIssued, c.WritesIssued, c.FetchStalls = st.ReadsIssued, st.WritesIssued, st.FetchStalls
-	c.doneAt = st.DoneAt
+	c.State = st
 	return nil
 }

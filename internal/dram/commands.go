@@ -32,14 +32,14 @@ func (d *Device) emit(kind obs.EventKind, ts, dur int64, a core.Address, row int
 
 // fawGate returns the earliest cycle a new ACT may issue to the rank under
 // the rolling four-activate window.
-func (r *rank) fawGate(tFAW int) int64 {
-	oldest := r.actWindow[r.actWindowAt] // window holds the last 4 ACT times
+func (r *Rank) fawGate(tFAW int) int64 {
+	oldest := r.ActWindow[r.ActWindowAt] // window holds the last 4 ACT times
 	return oldest + int64(tFAW)
 }
 
-func (r *rank) recordAct(t int64) {
-	r.actWindow[r.actWindowAt] = t
-	r.actWindowAt = (r.actWindowAt + 1) % len(r.actWindow)
+func (r *Rank) recordAct(t int64) {
+	r.ActWindow[r.ActWindowAt] = t
+	r.ActWindowAt = (r.ActWindowAt + 1) % len(r.ActWindow)
 }
 
 // EarliestActivate returns the first cycle >= now at which an ACT to addr
@@ -47,10 +47,10 @@ func (r *rank) recordAct(t int64) {
 // (closed).
 func (d *Device) EarliestActivate(a core.Address, now int64) (int64, bool) {
 	b, rk := d.bankAt(a), d.rankAt(a)
-	if b.openRow >= 0 {
+	if b.OpenRow >= 0 {
 		return 0, false
 	}
-	t := max64(now, b.nextAct, rk.nextAct, rk.fawGate(d.tim.Normal.TFAW), rk.refreshBusyUntil)
+	t := max64(now, b.NextAct, rk.NextAct, rk.fawGate(d.tim.Normal.TFAW), rk.RefreshBusyUntil)
 	return t, true
 }
 
@@ -73,18 +73,18 @@ func (d *Device) Activate(a core.Address, now int64) {
 	// ACT (a CROW copy, a CLR conversion): the opened row absorbs them in
 	// every restore-side gate.
 	extra, ev, emitEv := d.mech.OnActivate(a.Row, now)
-	b.openRow = a.Row
-	b.openMCR = inMCR
-	b.nextRead = max64(b.nextRead, now+int64(p.TRCD)+extra)
-	b.nextWrite = max64(b.nextWrite, now+int64(p.TRCD)+extra)
-	b.nextPre = max64(b.nextPre, now+int64(p.TRAS)+extra)
-	b.nextAct = max64(b.nextAct, now+int64(p.TRC)+extra)
-	rk.nextAct = max64(rk.nextAct, now+int64(d.tim.Normal.TRRD))
+	b.OpenRow = a.Row
+	b.OpenMCR = inMCR
+	b.NextRead = max64(b.NextRead, now+int64(p.TRCD)+extra)
+	b.NextWrite = max64(b.NextWrite, now+int64(p.TRCD)+extra)
+	b.NextPre = max64(b.NextPre, now+int64(p.TRAS)+extra)
+	b.NextAct = max64(b.NextAct, now+int64(p.TRC)+extra)
+	rk.NextAct = max64(rk.NextAct, now+int64(d.tim.Normal.TRRD))
 	rk.recordAct(now)
-	d.stats.Activates++
-	d.perBankActs[a.BankID(d.cfg.Geom)]++
+	d.st.Stats.Activates++
+	d.st.PerBankActs[a.BankID(d.cfg.Geom)]++
 	if inMCR {
-		d.stats.MCRActivates++
+		d.st.Stats.MCRActivates++
 	}
 	d.obs.IncCommand(obs.CmdACT, a.BankID(d.cfg.Geom))
 	var gangK int64
@@ -107,13 +107,13 @@ func (d *Device) EarliestRead(a core.Address, now int64) (int64, bool) {
 		return 0, false
 	}
 	b, rk := d.bankAt(a), d.rankAt(a)
-	t := max64(now, b.nextRead, rk.nextReadOK, d.nextCol[a.Channel], rk.refreshBusyUntil)
+	t := max64(now, b.NextRead, rk.NextReadOK, d.st.NextCol[a.Channel], rk.RefreshBusyUntil)
 	// Data bus: burst occupies [t+CL, t+CL+BL); wait until free, plus the
 	// rank-to-rank switch penalty when ownership changes.
 	for {
 		start := t + int64(d.tim.Normal.TCAS)
-		busFree := d.busBusyUntil[a.Channel]
-		if d.busOwner[a.Channel] != a.Rank && d.busOwner[a.Channel] >= 0 {
+		busFree := d.st.BusBusyUntil[a.Channel]
+		if d.st.BusOwner[a.Channel] != a.Rank && d.st.BusOwner[a.Channel] >= 0 {
 			busFree += int64(d.tim.Normal.TRTRS)
 		}
 		if start >= busFree {
@@ -140,11 +140,11 @@ func (d *Device) Read(a core.Address, now int64) int64 {
 	b := d.bankAt(a)
 	start := now + int64(d.tim.Normal.TCAS)
 	end := start + int64(d.tim.Normal.TBURST)
-	d.busBusyUntil[a.Channel] = end
-	d.busOwner[a.Channel] = a.Rank
-	d.nextCol[a.Channel] = now + int64(d.tim.Normal.TCCD)
-	b.nextPre = max64(b.nextPre, now+int64(d.tim.Normal.TRTP))
-	d.stats.Reads++
+	d.st.BusBusyUntil[a.Channel] = end
+	d.st.BusOwner[a.Channel] = a.Rank
+	d.st.NextCol[a.Channel] = now + int64(d.tim.Normal.TCCD)
+	b.NextPre = max64(b.NextPre, now+int64(d.tim.Normal.TRTP))
+	d.st.Stats.Reads++
 	d.obs.IncCommand(obs.CmdRD, a.BankID(d.cfg.Geom))
 	d.emit(obs.EvRD, now, end-now, a, a.Row, 0)
 	return end
@@ -156,11 +156,11 @@ func (d *Device) EarliestWrite(a core.Address, now int64) (int64, bool) {
 		return 0, false
 	}
 	b, rk := d.bankAt(a), d.rankAt(a)
-	t := max64(now, b.nextWrite, d.nextCol[a.Channel], rk.refreshBusyUntil)
+	t := max64(now, b.NextWrite, d.st.NextCol[a.Channel], rk.RefreshBusyUntil)
 	for {
 		start := t + int64(d.tim.Normal.TCWD)
-		busFree := d.busBusyUntil[a.Channel]
-		if d.busOwner[a.Channel] != a.Rank && d.busOwner[a.Channel] >= 0 {
+		busFree := d.st.BusBusyUntil[a.Channel]
+		if d.st.BusOwner[a.Channel] != a.Rank && d.st.BusOwner[a.Channel] >= 0 {
 			busFree += int64(d.tim.Normal.TRTRS)
 		}
 		if start >= busFree {
@@ -187,14 +187,14 @@ func (d *Device) Write(a core.Address, now int64) int64 {
 	b, rk := d.bankAt(a), d.rankAt(a)
 	start := now + int64(d.tim.Normal.TCWD)
 	end := start + int64(d.tim.Normal.TBURST)
-	d.busBusyUntil[a.Channel] = end
-	d.busOwner[a.Channel] = a.Rank
-	d.nextCol[a.Channel] = now + int64(d.tim.Normal.TCCD)
+	d.st.BusBusyUntil[a.Channel] = end
+	d.st.BusOwner[a.Channel] = a.Rank
+	d.st.NextCol[a.Channel] = now + int64(d.tim.Normal.TCCD)
 	// Write recovery gates the precharge; write-to-read turnaround gates
 	// subsequent reads in the whole rank.
-	b.nextPre = max64(b.nextPre, end+int64(d.tim.Normal.TWR))
-	rk.nextReadOK = max64(rk.nextReadOK, end+int64(d.tim.Normal.TWTR))
-	d.stats.Writes++
+	b.NextPre = max64(b.NextPre, end+int64(d.tim.Normal.TWR))
+	rk.NextReadOK = max64(rk.NextReadOK, end+int64(d.tim.Normal.TWTR))
+	d.st.Stats.Writes++
 	d.obs.IncCommand(obs.CmdWR, a.BankID(d.cfg.Geom))
 	d.emit(obs.EvWR, now, end-now, a, a.Row, 0)
 	return end
@@ -204,11 +204,11 @@ func (d *Device) Write(a core.Address, now int64) int64 {
 // bank of addr; false when the bank is already closed.
 func (d *Device) EarliestPrecharge(a core.Address, now int64) (int64, bool) {
 	b := d.bankAt(a)
-	if b.openRow < 0 {
+	if b.OpenRow < 0 {
 		return 0, false
 	}
 	rk := d.rankAt(a)
-	return max64(now, b.nextPre, rk.refreshBusyUntil), true
+	return max64(now, b.NextPre, rk.RefreshBusyUntil), true
 }
 
 // CanPrecharge reports whether PRE is legal at cycle now.
@@ -225,11 +225,11 @@ func (d *Device) Precharge(a core.Address, now int64) {
 		panic(fmt.Sprintf("dram: illegal PRE %v at cycle %d", a, now))
 	}
 	b := d.bankAt(a)
-	closed := b.openRow
-	b.openRow = -1
-	b.openMCR = false
-	b.nextAct = max64(b.nextAct, now+int64(d.tim.Normal.TRP))
-	d.stats.Precharges++
+	closed := b.OpenRow
+	b.OpenRow = -1
+	b.OpenMCR = false
+	b.NextAct = max64(b.NextAct, now+int64(d.tim.Normal.TRP))
+	d.st.Stats.Precharges++
 	d.obs.IncCommand(obs.CmdPRE, a.BankID(d.cfg.Geom))
 	d.emit(obs.EvPRE, now, int64(d.tim.Normal.TRP), a, closed, 0)
 	if d.hook != nil {
@@ -243,11 +243,11 @@ func (d *Device) EarliestRefresh(ch, rankID int, now int64) (int64, bool) {
 	g := d.cfg.Geom
 	t := now
 	for bk := 0; bk < g.Banks; bk++ {
-		b := &d.banks[(ch*g.Ranks+rankID)*g.Banks+bk]
-		if b.openRow >= 0 {
+		b := &d.st.Banks[(ch*g.Ranks+rankID)*g.Banks+bk]
+		if b.OpenRow >= 0 {
 			return 0, false
 		}
-		t = max64(t, b.nextAct)
+		t = max64(t, b.NextAct)
 	}
 	return t, true
 }
@@ -268,7 +268,7 @@ func (d *Device) Refresh(ch, rankID int, counter int, now int64) (mcr.LayoutRefr
 	op := d.mech.RefreshPlan(counter)
 	d.mech.NoteRefresh(counter)
 	if op.Skipped && d.cfg.Mech.RefreshSkipping {
-		d.stats.SkippedRefreshes++
+		d.st.Stats.SkippedRefreshes++
 		d.emit(obs.EvREFSkip, now, 0, core.Address{Channel: ch, Rank: rankID, Bank: -1}, -1, int64(counter))
 		return op, now
 	}
@@ -283,17 +283,17 @@ func (d *Device) Refresh(ch, rankID int, counter int, now int64) (mcr.LayoutRefr
 		} else {
 			tRFC = int64(d.tim.RefreshMCRCycles)
 		}
-		d.stats.MCRRefreshes++
+		d.st.Stats.MCRRefreshes++
 	}
 	done := now + tRFC
-	rk := &d.ranks[ch*d.cfg.Geom.Ranks+rankID]
-	rk.refreshBusyUntil = done
+	rk := &d.st.Ranks[ch*d.cfg.Geom.Ranks+rankID]
+	rk.RefreshBusyUntil = done
 	g := d.cfg.Geom
 	for bk := 0; bk < g.Banks; bk++ {
-		b := &d.banks[(ch*g.Ranks+rankID)*g.Banks+bk]
-		b.nextAct = max64(b.nextAct, done)
+		b := &d.st.Banks[(ch*g.Ranks+rankID)*g.Banks+bk]
+		b.NextAct = max64(b.NextAct, done)
 	}
-	d.stats.Refreshes++
+	d.st.Stats.Refreshes++
 	if d.obs != nil {
 		base := (ch*g.Ranks + rankID) * g.Banks
 		for bk := 0; bk < g.Banks; bk++ {
@@ -313,8 +313,8 @@ func (d *Device) Refresh(ch, rankID int, counter int, now int64) (mcr.LayoutRefr
 // favor of the simple mode. Backends without a mode register return an
 // error wrapping mech.ErrNoModes.
 func (d *Device) SetMode(mode mcr.Mode, now int64) error {
-	for i := range d.banks {
-		if d.banks[i].openRow >= 0 {
+	for i := range d.st.Banks {
+		if d.st.Banks[i].OpenRow >= 0 {
 			return fmt.Errorf("dram: MRS requires all banks precharged") //mcrlint:allow hotalloc MRS is a rare control-plane event, and this arm only builds the illegal-issue error
 		}
 	}

@@ -13,24 +13,24 @@ import (
 	"repro/internal/timing"
 )
 
-// bank holds the per-bank scheduling state: the open row and the earliest
+// Bank holds the per-bank scheduling state: the open row and the earliest
 // cycle each command class may next issue.
-type bank struct {
-	openRow   int // -1 when precharged
-	openMCR   bool
-	nextAct   int64
-	nextRead  int64
-	nextWrite int64
-	nextPre   int64
+type Bank struct {
+	OpenRow   int // -1 when precharged
+	OpenMCR   bool
+	NextAct   int64
+	NextRead  int64
+	NextWrite int64
+	NextPre   int64
 }
 
-// rank holds rank-level constraint state.
-type rank struct {
-	actWindow        [4]int64 // times of the last four ACTs, for tFAW
-	actWindowAt      int
-	nextAct          int64 // tRRD gate
-	nextReadOK       int64 // write-to-read turnaround (tWTR)
-	refreshBusyUntil int64
+// Rank holds rank-level constraint state.
+type Rank struct {
+	ActWindow        [4]int64 // times of the last four ACTs, for tFAW
+	ActWindowAt      int
+	NextAct          int64 // tRRD gate
+	NextReadOK       int64 // write-to-read turnaround (tWTR)
+	RefreshBusyUntil int64
 }
 
 // Stats counts device-level events.
@@ -54,25 +54,15 @@ type Device struct {
 	// JEDEC state machines below.
 	mech mech.Mechanism
 
-	banks []bank // [channel][rank][bank] flattened
-	ranks []rank // [channel][rank] flattened
-
-	// Channel-level constraint state.
-	busBusyUntil []int64 // data bus per channel
-	busOwner     []int   // rank that last used the bus, for tRTRS
-	nextCol      []int64 // tCCD gate per channel
-
-	stats Stats
-	hook  Hook
+	// st is every JEDEC state machine and counter the command path
+	// mutates; a checkpoint carries it whole (see state.go).
+	st   State
+	hook Hook
 
 	// obs/tr, when non-nil, receive per-bank command counts and
 	// cycle-domain command events; both are nil-safe no-ops otherwise.
 	obs *obs.Registry
 	tr  *obs.Tracer
-
-	// perBankActs counts activates per flattened bank id, for balance
-	// diagnostics.
-	perBankActs []int64
 }
 
 // New builds a device from the configuration, selecting the mechanism
@@ -83,27 +73,25 @@ func New(cfg Config) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Device{
-		cfg:          cfg,
-		tim:          m.Timings(),
-		mech:         m,
-		banks:        make([]bank, cfg.Geom.Channels*cfg.Geom.Ranks*cfg.Geom.Banks),
-		ranks:        make([]rank, cfg.Geom.Channels*cfg.Geom.Ranks),
-		busBusyUntil: make([]int64, cfg.Geom.Channels),
-		busOwner:     make([]int, cfg.Geom.Channels),
-		nextCol:      make([]int64, cfg.Geom.Channels),
-		perBankActs:  make([]int64, cfg.Geom.Channels*cfg.Geom.Ranks*cfg.Geom.Banks),
+	g := cfg.Geom
+	d := &Device{cfg: cfg, tim: m.Timings(), mech: m, st: State{
+		Banks:        make([]Bank, g.Channels*g.Ranks*g.Banks),
+		Ranks:        make([]Rank, g.Channels*g.Ranks),
+		BusBusyUntil: make([]int64, g.Channels),
+		BusOwner:     make([]int, g.Channels),
+		NextCol:      make([]int64, g.Channels),
+		PerBankActs:  make([]int64, g.Channels*g.Ranks*g.Banks),
+	}}
+	for i := range d.st.Banks {
+		d.st.Banks[i].OpenRow = -1
 	}
-	for i := range d.banks {
-		d.banks[i].openRow = -1
-	}
-	for i := range d.ranks {
-		for j := range d.ranks[i].actWindow {
-			d.ranks[i].actWindow[j] = -1 << 40 // far past: empty tFAW window
+	for i := range d.st.Ranks {
+		for j := range d.st.Ranks[i].ActWindow {
+			d.st.Ranks[i].ActWindow[j] = -1 << 40 // far past: empty tFAW window
 		}
 	}
-	for i := range d.busOwner {
-		d.busOwner[i] = -1
+	for i := range d.st.BusOwner {
+		d.st.BusOwner[i] = -1
 	}
 	return d, nil
 }
@@ -158,7 +146,7 @@ func (d *Device) RefreshScheduler() *mcr.LayoutScheduler {
 }
 
 // Stats returns a copy of the event counters.
-func (d *Device) Stats() Stats { return d.stats }
+func (d *Device) Stats() Stats { return d.st.Stats }
 
 // SetObservability attaches a metrics registry and an event tracer to
 // the command path (either may be nil — recording calls on nil
@@ -171,15 +159,15 @@ func (d *Device) SetObservability(reg *obs.Registry, tr *obs.Tracer) {
 // given cycle; the controller's stall accounter uses it to classify
 // blocked command slots as tRFC stalls.
 func (d *Device) RefreshBusy(ch, rankID int, now int64) bool {
-	return d.ranks[ch*d.cfg.Geom.Ranks+rankID].refreshBusyUntil > now
+	return d.st.Ranks[ch*d.cfg.Geom.Ranks+rankID].RefreshBusyUntil > now
 }
 
-func (d *Device) bankAt(a core.Address) *bank {
-	return &d.banks[a.BankID(d.cfg.Geom)]
+func (d *Device) bankAt(a core.Address) *Bank {
+	return &d.st.Banks[a.BankID(d.cfg.Geom)]
 }
 
-func (d *Device) rankAt(a core.Address) *rank {
-	return &d.ranks[a.Channel*d.cfg.Geom.Ranks+a.Rank]
+func (d *Device) rankAt(a core.Address) *Rank {
+	return &d.st.Ranks[a.Channel*d.cfg.Geom.Ranks+a.Rank]
 }
 
 // RowParams returns the timing parameter set governing a row and whether
@@ -199,7 +187,7 @@ func (d *Device) IsNearSegment(row int) bool {
 }
 
 // OpenRow returns the open row of the bank holding addr, or -1.
-func (d *Device) OpenRow(a core.Address) int { return d.bankAt(a).openRow }
+func (d *Device) OpenRow(a core.Address) int { return d.bankAt(a).OpenRow }
 
 // IsRowHit reports whether a request would hit the open row — treating
 // rows that latch shared data (an MCR's clone rows, a CLR coupled pair)
@@ -207,13 +195,13 @@ func (d *Device) OpenRow(a core.Address) int { return d.bankAt(a).openRow }
 // same data.
 func (d *Device) IsRowHit(a core.Address) bool {
 	b := d.bankAt(a)
-	if b.openRow < 0 {
+	if b.OpenRow < 0 {
 		return false
 	}
-	if b.openRow == a.Row {
+	if b.OpenRow == a.Row {
 		return true
 	}
-	return d.mech.SameGang(b.openRow, a.Row)
+	return d.mech.SameGang(b.OpenRow, a.Row)
 }
 
 // InMCR reports whether the row lies in an MCR band.
@@ -235,19 +223,19 @@ func (d *Device) SupportsModeChange() bool { return d.mech.SupportsModeChange() 
 // BankActivates returns a copy of the per-bank activate counters (indexed
 // by the flattened BankID), for balance diagnostics.
 func (d *Device) BankActivates() []int64 {
-	return append([]int64(nil), d.perBankActs...)
+	return append([]int64(nil), d.st.PerBankActs...)
 }
 
 // RankBusy reports whether a rank is doing work at the given cycle: any
 // bank open, or a refresh in flight. The power model uses it to classify
 // background cycles.
 func (d *Device) RankBusy(ch, rankID int, now int64) bool {
-	if d.ranks[ch*d.cfg.Geom.Ranks+rankID].refreshBusyUntil > now {
+	if d.st.Ranks[ch*d.cfg.Geom.Ranks+rankID].RefreshBusyUntil > now {
 		return true
 	}
 	base := (ch*d.cfg.Geom.Ranks + rankID) * d.cfg.Geom.Banks
 	for b := 0; b < d.cfg.Geom.Banks; b++ {
-		if d.banks[base+b].openRow >= 0 {
+		if d.st.Banks[base+b].OpenRow >= 0 {
 			return true
 		}
 	}

@@ -74,13 +74,6 @@ type CLR struct {
 	convertCycles int64
 	subarray      int
 	maxPairs      int // per-sub-array coupling budget, in pairs
-	// acts counts activations of uncoupled rows; coupled marks pair base
-	// rows (even-aligned) in high-performance state; banned pairs are
-	// never re-coupled; pairs counts coupled pairs per sub-array index.
-	acts    map[int]int
-	coupled map[int]bool
-	banned  map[int]bool
-	pairs   map[int]int
 }
 
 // newCLR builds the backend from a validated configuration.
@@ -89,6 +82,7 @@ func newCLR(cfg Config) (*CLR, error) {
 	if err != nil {
 		return nil, err
 	}
+	b.st.makeMaps()
 	lcfg := *cfg.CLR
 	ns := timing.Baseline1x(cfg.FourGb)
 	ns.TRCD, ns.TRAS = lcfg.TRCDNS, lcfg.TRASNS
@@ -100,10 +94,6 @@ func newCLR(cfg Config) (*CLR, error) {
 		convertCycles: int64(core.NSToMemCycles(lcfg.ConvertOverheadNS)),
 		subarray:      subarray,
 		maxPairs:      int(lcfg.MaxCoupledFraction * float64(subarray) / 2),
-		acts:          make(map[int]int),
-		coupled:       make(map[int]bool),
-		banned:        make(map[int]bool),
-		pairs:         make(map[int]int),
 	}, nil
 }
 
@@ -114,14 +104,14 @@ func (c *CLR) Name() string { return "clr" }
 func pairBase(row int) int { return row &^ 1 }
 
 // IsCoupled reports whether a row sits in a coupled pair.
-func (c *CLR) IsCoupled(row int) bool { return row >= 0 && c.coupled[pairBase(row)] }
+func (c *CLR) IsCoupled(row int) bool { return row >= 0 && c.st.Fast[pairBase(row)] }
 
 // RowParams serves coupled pairs at the high-performance timing;
 // quarantined rows always run the safe baseline.
 //
 //mcrlint:hotpath mech dispatch (row timing class, per command)
 func (c *CLR) RowParams(row int) (*timing.Params, bool) {
-	if c.quarantined[row] {
+	if c.st.Quarantined[row] {
 		return &c.tim.Normal, false
 	}
 	if c.IsCoupled(row) {
@@ -135,7 +125,7 @@ func (c *CLR) RowParams(row int) (*timing.Params, bool) {
 //
 //mcrlint:hotpath mech dispatch (gang classification, per command)
 func (c *CLR) SameGang(a, b int) bool {
-	return a >= 0 && b >= 0 && pairBase(a) == pairBase(b) && c.coupled[pairBase(a)]
+	return a >= 0 && b >= 0 && pairBase(a) == pairBase(b) && c.st.Fast[pairBase(a)]
 }
 
 // GangK returns 2 for coupled pairs (both wordlines fire).
@@ -165,28 +155,28 @@ func (c *CLR) CloneRows(row int) []int {
 //mcrlint:hotpath mech dispatch (activation policy, per ACT)
 func (c *CLR) OnActivate(row int, now int64) (int64, obs.EventKind, bool) {
 	if c.IsCoupled(row) {
-		c.stats.FastActivates++
+		c.st.Stats.FastActivates++
 		return 0, 0, false
 	}
-	if row < 0 || c.banned[pairBase(row)] {
+	if row < 0 || c.st.Banned[pairBase(row)] {
 		return 0, 0, false
 	}
-	c.acts[row]++
-	if c.acts[row] < c.lcfg.HotThreshold {
+	c.st.Hot[row]++
+	if c.st.Hot[row] < c.lcfg.HotThreshold {
 		return 0, 0, false
 	}
 	sub := row / c.subarray
-	if c.pairs[sub] >= c.maxPairs {
+	if c.st.Budget[sub] >= c.maxPairs {
 		return 0, 0, false
 	}
 	bse := pairBase(row)
-	c.pairs[sub]++
-	c.coupled[bse] = true
-	delete(c.acts, bse)
-	delete(c.acts, bse+1)
-	c.stats.Conversions++
-	c.stats.CopyCycles += c.convertCycles
-	c.stats.CapacityLossRows++ // the donor row's capacity is gone
+	c.st.Budget[sub]++
+	c.st.Fast[bse] = true
+	delete(c.st.Hot, bse)
+	delete(c.st.Hot, bse+1)
+	c.st.Stats.Conversions++
+	c.st.Stats.CopyCycles += c.convertCycles
+	c.st.Stats.CapacityLossRows++ // the donor row's capacity is gone
 	return c.convertCycles, obs.EvConvert, true
 }
 
@@ -202,12 +192,12 @@ func (c *CLR) Quarantine(row int) int {
 	}
 	b := pairBase(row)
 	rows := []int{row}
-	if c.coupled[b] {
-		delete(c.coupled, b)
-		c.stats.Reversions++
+	if c.st.Fast[b] {
+		delete(c.st.Fast, b)
+		c.st.Stats.Reversions++
 		rows = []int{b, b + 1}
 	}
-	c.banned[b] = true // a demoted row's pair must never (re-)couple
+	c.st.Banned[b] = true // a demoted row's pair must never (re-)couple
 	return c.quarantineRows(rows)
 }
 

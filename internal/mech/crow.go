@@ -72,15 +72,6 @@ type CROW struct {
 	fast       timing.Params // copied-row timing class
 	copyCycles int64
 	subarray   int
-	// acts counts activations of not-yet-copied rows; copied marks rows
-	// with a live copy; banned rows (quarantined) are never re-copied;
-	// spares counts consumed copy rows per sub-array index. Rows are
-	// per-bank addresses, so hotness aggregates across banks — consistent
-	// with the row-indexed band classes everywhere else in the model.
-	acts   map[int]int
-	copied map[int]bool
-	banned map[int]bool
-	spares map[int]int
 }
 
 // newCROW builds the backend from a validated configuration.
@@ -89,6 +80,7 @@ func newCROW(cfg Config) (*CROW, error) {
 	if err != nil {
 		return nil, err
 	}
+	b.st.makeMaps()
 	ccfg := *cfg.CROW
 	ns := timing.Baseline1x(cfg.FourGb)
 	ns.TRCD, ns.TRAS = ccfg.TRCDNS, ccfg.TRASNS
@@ -98,10 +90,6 @@ func newCROW(cfg Config) (*CROW, error) {
 		fast:       timing.NewParams(ns),
 		copyCycles: int64(core.NSToMemCycles(ccfg.CopyOverheadNS)),
 		subarray:   cfg.Geom.RowsPerSubarray(),
-		acts:       make(map[int]int),
-		copied:     make(map[int]bool),
-		banned:     make(map[int]bool),
-		spares:     make(map[int]int),
 	}, nil
 }
 
@@ -109,14 +97,14 @@ func newCROW(cfg Config) (*CROW, error) {
 func (c *CROW) Name() string { return "crow" }
 
 // IsCopied reports whether a row currently has a live copy row.
-func (c *CROW) IsCopied(row int) bool { return c.copied[row] }
+func (c *CROW) IsCopied(row int) bool { return c.st.Fast[row] }
 
 // RowParams serves copied rows at the row+copy pair timing; everything
 // else (including quarantined rows) runs the baseline.
 //
 //mcrlint:hotpath mech dispatch (row timing class, per command)
 func (c *CROW) RowParams(row int) (*timing.Params, bool) {
-	if c.copied[row] {
+	if c.st.Fast[row] {
 		return &c.fast, false
 	}
 	return &c.tim.Normal, false
@@ -129,27 +117,27 @@ func (c *CROW) RowParams(row int) (*timing.Params, bool) {
 //
 //mcrlint:hotpath mech dispatch (activation policy, per ACT)
 func (c *CROW) OnActivate(row int, now int64) (int64, obs.EventKind, bool) {
-	if c.copied[row] {
-		c.stats.FastActivates++
+	if c.st.Fast[row] {
+		c.st.Stats.FastActivates++
 		return 0, 0, false
 	}
-	if c.banned[row] || row < 0 {
+	if c.st.Banned[row] || row < 0 {
 		return 0, 0, false
 	}
-	c.acts[row]++
-	if c.acts[row] < c.ccfg.HotThreshold {
+	c.st.Hot[row]++
+	if c.st.Hot[row] < c.ccfg.HotThreshold {
 		return 0, 0, false
 	}
 	sub := row / c.subarray
-	if c.spares[sub] >= c.ccfg.SpareRowsPerSubarray {
+	if c.st.Budget[sub] >= c.ccfg.SpareRowsPerSubarray {
 		return 0, 0, false
 	}
-	c.spares[sub]++
-	c.copied[row] = true
-	delete(c.acts, row)
-	c.stats.Copies++
-	c.stats.CopyCycles += c.copyCycles
-	c.stats.CapacityLossRows++
+	c.st.Budget[sub]++
+	c.st.Fast[row] = true
+	delete(c.st.Hot, row)
+	c.st.Stats.Copies++
+	c.st.Stats.CopyCycles += c.copyCycles
+	c.st.Stats.CapacityLossRows++
 	return c.copyCycles, obs.EvCopy, true
 }
 
@@ -160,12 +148,12 @@ func (c *CROW) SetMode(mode mcr.Mode, now int64) error { return noModes(c.Name()
 // discarded — the spare stays consumed, the pairing was what failed —
 // and the row is banned from re-copying.
 func (c *CROW) Quarantine(row int) int {
-	if c.copied[row] {
-		delete(c.copied, row)
-		c.stats.Reversions++
+	if c.st.Fast[row] {
+		delete(c.st.Fast, row)
+		c.st.Stats.Reversions++
 	}
-	if row >= 0 && !c.banned[row] {
-		c.banned[row] = true
+	if row >= 0 && !c.st.Banned[row] {
+		c.st.Banned[row] = true
 	}
 	return c.quarantineRows([]int{row})
 }

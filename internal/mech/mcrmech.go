@@ -70,7 +70,7 @@ func (m *MCR) RefreshScheduler() *mcr.LayoutScheduler { return m.sched }
 //
 //mcrlint:hotpath mech dispatch (row timing class, per command)
 func (m *MCR) RowParams(row int) (*timing.Params, bool) {
-	if m.quarantined[row] {
+	if m.st.Quarantined[row] {
 		return &m.tim.Normal, false
 	}
 	k := m.lgen.KAt(row)
@@ -86,8 +86,8 @@ func (m *MCR) RowParams(row int) (*timing.Params, bool) {
 //
 //mcrlint:hotpath mech dispatch (activation policy, per ACT)
 func (m *MCR) OnActivate(row int, now int64) (int64, obs.EventKind, bool) {
-	if !m.quarantined[row] && m.lgen.InMCR(row) {
-		m.stats.FastActivates++
+	if !m.st.Quarantined[row] && m.lgen.InMCR(row) {
+		m.st.Stats.FastActivates++
 	}
 	return 0, 0, false
 }

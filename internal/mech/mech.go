@@ -118,7 +118,7 @@ type Mechanism interface {
 	// Stats returns a copy of the mechanism's policy counters.
 	Stats() Stats
 
-	// ExportState flattens the backend's mutable policy state for a
+	// ExportState copies the backend's mutable policy state out for a
 	// checkpoint; ImportState reinstates it on a freshly built backend of
 	// the same configuration (see state.go). After ImportState the device
 	// must re-read Config and Timings — an imported MCR mode switch
@@ -148,18 +148,17 @@ func New(cfg Config) (Mechanism, error) {
 	}
 }
 
-// base carries the state every backend shares: the validated config, the
+// base carries what every backend shares: the validated config, the
 // resolved timing classes, the (possibly empty) MCR layout machinery
-// driving refresh planning, and the quarantine set.
+// driving refresh planning, and the mutable policy state.
 type base struct {
 	cfg   Config
 	tim   Timings
 	lgen  *mcr.LayoutGenerator
 	sched *mcr.LayoutScheduler
-	// quarantined rows are demoted to conventional 1x timing and full
-	// restore; nil until the first Quarantine call. Survives SetMode.
-	quarantined map[int]bool
-	stats       Stats
+	// st is the policy state every backend reads and writes directly; a
+	// checkpoint carries it whole (see state.go).
+	st State
 }
 
 // newBase resolves the shared state from a validated configuration.
@@ -181,7 +180,7 @@ func newBase(cfg Config) (base, error) {
 
 func (b *base) Config() Config   { return b.cfg }
 func (b *base) Timings() Timings { return b.tim }
-func (b *base) Stats() Stats     { return b.stats }
+func (b *base) Stats() Stats     { return b.st.Stats }
 
 // SameGang/GangK/InMCR answer per-command row classification queries
 // straight from the layout generator's lookup tables.
@@ -205,7 +204,7 @@ func (b *base) CloneRows(row int) []int {
 //
 //mcrlint:hotpath mech dispatch (restore class, per precharge)
 func (b *base) MEff(row int) int {
-	if !b.cfg.Mech.EarlyPrecharge || b.quarantined[row] {
+	if !b.cfg.Mech.EarlyPrecharge || b.st.Quarantined[row] {
 		return 1
 	}
 	if b.cfg.Mech.RefreshSkipping {
@@ -255,25 +254,25 @@ func (b *base) Quarantine(row int) int {
 
 // quarantineRows marks the given rows, returning the newly added count.
 func (b *base) quarantineRows(rows []int) int {
-	if b.quarantined == nil {
-		b.quarantined = make(map[int]bool)
+	if b.st.Quarantined == nil {
+		b.st.Quarantined = make(map[int]bool)
 	}
 	added := 0
 	for _, r := range rows {
-		if !b.quarantined[r] {
-			b.quarantined[r] = true
+		if !b.st.Quarantined[r] {
+			b.st.Quarantined[r] = true
 			added++
 		}
 	}
 	return added
 }
 
-func (b *base) IsQuarantined(row int) bool { return b.quarantined[row] }
+func (b *base) IsQuarantined(row int) bool { return b.st.Quarantined[row] }
 
 // QuarantinedRows returns the demoted rows in ascending order.
 func (b *base) QuarantinedRows() []int {
-	out := make([]int, 0, len(b.quarantined))
-	for r := range b.quarantined { //mcrlint:allow determinism sorted immediately below, order-free
+	out := make([]int, 0, len(b.st.Quarantined))
+	for r := range b.st.Quarantined { //mcrlint:allow determinism sorted immediately below, order-free
 		out = append(out, r)
 	}
 	sort.Ints(out)

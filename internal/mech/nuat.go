@@ -54,9 +54,6 @@ type NUAT struct {
 	ncfg NUATConfig
 	//mcrlint:nosnapshot derived from validated config at construction, resume rebuilds it
 	bins []timing.Params // index 0 = freshest
-	// counter is the global REF progress (total REFs ever issued); the
-	// device reports it via NoteRefresh.
-	counter int
 }
 
 // newNUAT derives the per-bin parameter sets from the circuit model:
@@ -102,7 +99,7 @@ func (s *NUAT) binFor(row int) int {
 	// covers the rest).
 	low := row & (mcr.RefsPerWindow - 1)
 	slot := mcr.RefreshRowAddress(s.cfg.Wiring, low, 13) // wiring is involutive for both methods
-	elapsed := (s.counter - slot) % mcr.RefsPerWindow
+	elapsed := (s.st.Counter - slot) % mcr.RefsPerWindow
 	if elapsed < 0 {
 		elapsed += mcr.RefsPerWindow
 	}
@@ -125,14 +122,14 @@ func (s *NUAT) RowParams(row int) (*timing.Params, bool) {
 // approximation of the window position).
 //
 //mcrlint:hotpath mech dispatch (refresh progress, per REF)
-func (s *NUAT) NoteRefresh(counter int) { s.counter = counter }
+func (s *NUAT) NoteRefresh(counter int) { s.st.Counter = counter }
 
 // OnActivate counts better-than-baseline freshness bins as fast activates.
 //
 //mcrlint:hotpath mech dispatch (activation policy, per ACT)
 func (s *NUAT) OnActivate(row int, now int64) (int64, obs.EventKind, bool) {
 	if s.bins[s.binFor(row)].TRCD < s.tim.Normal.TRCD {
-		s.stats.FastActivates++
+		s.st.Stats.FastActivates++
 	}
 	return 0, 0, false
 }

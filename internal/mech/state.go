@@ -1,127 +1,89 @@
-// Checkpoint support for the mechanism seam: every backend can export its
-// mutable policy state into one flat State value and reinstate it on a
-// freshly built backend of the same configuration. Derived structures
-// (timing classes, layout tables, refresh schedules) are rebuilt from the
-// configuration; only genuinely dynamic state is carried.
+// Checkpoint support for the mechanism seam. Every backend keeps its
+// mutable policy state in base.st, so one Export/Import pair serves them
+// all; only MCR adds its mode register. Derived structures (timing
+// classes, layout tables, refresh schedules) are rebuilt from the
+// configuration.
 
 package mech
 
 import (
 	"fmt"
-	"sort"
+	"maps"
 
 	"repro/internal/mcr"
 )
 
-// IntPair is one (key, value) entry of an exported counter map, sorted by
-// key so exports are deterministic.
-type IntPair struct {
-	K, V int
-}
-
-// State is the mutable state of one mechanism backend, flattened for
-// serialization. Fields a backend does not model stay zero: the MCR
-// backend fills Mode/ModeGen, NUAT fills Counter, CROW and CLR fill the
-// map exports. Quarantined and Stats are shared by every backend.
+// State is the mutable policy state of a mechanism backend: the storage
+// the backend works on, and the value a checkpoint carries. Fields a
+// backend does not model stay zero or empty.
 type State struct {
-	// Quarantined is the demoted-row set, ascending.
-	Quarantined []int
+	// Quarantined marks rows demoted to conventional 1x timing and full
+	// restore; nil until the first Quarantine call. Survives SetMode.
+	Quarantined map[int]bool
 	Stats       Stats
 
-	// Mode/ModeGen mirror the MCR mode register (ModeGen 0 = never
-	// programmed, as for combined-layout devices before any MRS).
+	// Mode/ModeGen are the MCR mode register, filled on export only
+	// (ModeGen 0 = never programmed, as for combined-layout devices
+	// before any MRS).
 	Mode    mcr.Mode
 	ModeGen int
 
-	// Counter is NUAT's global REF progress.
+	// Counter is NUAT's global REF progress (total REFs ever issued).
 	Counter int
 
-	// Acts holds per-row activation counts (CROW: not-yet-copied rows,
-	// CLR: uncoupled rows); Marked the copied rows (CROW) or coupled pair
-	// bases (CLR); Banned the never-again rows (CROW) or pair bases (CLR);
-	// Budget the per-sub-array consumption (CROW spares, CLR pairs).
-	Acts   []IntPair
-	Marked []int
-	Banned []int
-	Budget []IntPair
+	// The CROW and CLR per-row policy. Hot counts activations of rows not
+	// yet in the fast state; Fast marks the fast rows (CROW: rows with a
+	// live copy, CLR: even-aligned coupled pair bases); Banned the rows
+	// (CROW) or pair bases (CLR) quarantine demoted, which never re-enter
+	// it; Budget the consumption per sub-array index (CROW spare rows,
+	// CLR pairs). Rows are per-bank addresses, so hotness aggregates
+	// across banks — consistent with the row-indexed band classes
+	// everywhere else in the model.
+	Hot    map[int]int
+	Fast   map[int]bool
+	Banned map[int]bool
+	Budget map[int]int
 }
 
-// exportIntMap flattens a counter map into sorted pairs.
-func exportIntMap(m map[int]int) []IntPair {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]IntPair, 0, len(m))
-	for k, v := range m { //mcrlint:allow determinism sorted immediately below, order-free
-		out = append(out, IntPair{K: k, V: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].K < out[j].K })
-	return out
+// makeMaps allocates whichever per-row policy maps are nil: the
+// activation path writes them, and a decoded snapshot may lack them.
+func (s *State) makeMaps() {
+	s.Hot, s.Budget = orMake(s.Hot), orMake(s.Budget)
+	s.Fast, s.Banned = orMake(s.Fast), orMake(s.Banned)
 }
 
-// importIntMap rebuilds a counter map from exported pairs (always non-nil,
-// matching the backends' eagerly allocated maps).
-func importIntMap(pairs []IntPair) map[int]int {
-	m := make(map[int]int, len(pairs))
-	for _, p := range pairs {
-		m[p.K] = p.V
+// orMake returns m, or a new empty map when m is nil.
+func orMake[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil {
+		return make(map[K]V)
 	}
 	return m
 }
 
-// exportSetMap flattens a membership map into a sorted slice.
-func exportSetMap(m map[int]bool) []int {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(m))
-	for k := range m { //mcrlint:allow determinism sorted immediately below, order-free
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
+// ExportState implements Mechanism: a copy of the policy state that
+// shares no storage with the live backend.
+func (b *base) ExportState() State {
+	st := b.st
+	st.Quarantined = maps.Clone(st.Quarantined)
+	st.Hot, st.Fast = maps.Clone(st.Hot), maps.Clone(st.Fast)
+	st.Banned, st.Budget = maps.Clone(st.Banned), maps.Clone(st.Budget)
+	return st
 }
 
-// importSetMap rebuilds a membership map from a sorted export.
-func importSetMap(rows []int) map[int]bool {
-	m := make(map[int]bool, len(rows))
-	for _, r := range rows {
-		m[r] = true
-	}
-	return m
-}
-
-// exportBase fills the state every backend shares.
-func (b *base) exportBase() State {
-	return State{Quarantined: exportSetMap(b.quarantined), Stats: b.stats}
-}
-
-// importBase reinstates the shared state. The quarantine map stays nil
-// when the export was empty, matching a fresh backend.
-func (b *base) importBase(st State) {
-	b.quarantined = nil
-	if len(st.Quarantined) > 0 {
-		b.quarantined = importSetMap(st.Quarantined)
-	}
-	b.stats = st.Stats
-}
-
-// ExportState implements Mechanism for backends whose only mutable state
-// is the shared quarantine set and counters (TL-DRAM).
-func (b *base) ExportState() State { return b.exportBase() }
-
-// ImportState implements Mechanism for those same backends.
+// ImportState implements Mechanism; the backend takes ownership of st's
+// storage. The per-row maps are made whatever the backend: only CROW and
+// CLR write them, and the others never read them.
 func (b *base) ImportState(st State) error {
-	b.importBase(st)
+	st.makeMaps()
+	b.st = st
 	return nil
 }
 
 // ExportState implements Mechanism: the MCR backend adds its mode
 // register (the rest of its machinery is derived from mode + config).
 func (m *MCR) ExportState() State {
-	st := m.exportBase()
-	st.Mode = m.modeReg.Mode()
-	st.ModeGen = m.modeReg.Generation()
+	st := m.base.ExportState()
+	st.Mode, st.ModeGen = m.modeReg.Mode(), m.modeReg.Generation()
 	return st
 }
 
@@ -131,7 +93,9 @@ func (m *MCR) ExportState() State {
 // timing classes exactly as the live path does) and pin the register to
 // the exact checkpointed generation.
 func (m *MCR) ImportState(st State) error {
-	m.importBase(st)
+	if err := m.base.ImportState(st); err != nil {
+		return err
+	}
 	if st.ModeGen == m.modeReg.Generation() {
 		return nil
 	}
@@ -139,61 +103,4 @@ func (m *MCR) ImportState(st State) error {
 		return fmt.Errorf("mech: mcr: replaying checkpointed mode: %w", err)
 	}
 	return m.modeReg.Restore(st.Mode, st.ModeGen)
-}
-
-// ExportState implements Mechanism: NUAT adds its REF progress counter.
-func (s *NUAT) ExportState() State {
-	st := s.exportBase()
-	st.Counter = s.counter
-	return st
-}
-
-// ImportState implements Mechanism.
-func (s *NUAT) ImportState(st State) error {
-	s.importBase(st)
-	s.counter = st.Counter
-	return nil
-}
-
-// ExportState implements Mechanism: CROW adds its hotness counters, the
-// copied-row set, the re-copy ban list and the per-sub-array spare budget.
-func (c *CROW) ExportState() State {
-	st := c.exportBase()
-	st.Acts = exportIntMap(c.acts)
-	st.Marked = exportSetMap(c.copied)
-	st.Banned = exportSetMap(c.banned)
-	st.Budget = exportIntMap(c.spares)
-	return st
-}
-
-// ImportState implements Mechanism.
-func (c *CROW) ImportState(st State) error {
-	c.importBase(st)
-	c.acts = importIntMap(st.Acts)
-	c.copied = importSetMap(st.Marked)
-	c.banned = importSetMap(st.Banned)
-	c.spares = importIntMap(st.Budget)
-	return nil
-}
-
-// ExportState implements Mechanism: CLR adds its hotness counters, the
-// coupled pair bases, the re-coupling ban list and the per-sub-array pair
-// budget.
-func (c *CLR) ExportState() State {
-	st := c.exportBase()
-	st.Acts = exportIntMap(c.acts)
-	st.Marked = exportSetMap(c.coupled)
-	st.Banned = exportSetMap(c.banned)
-	st.Budget = exportIntMap(c.pairs)
-	return st
-}
-
-// ImportState implements Mechanism.
-func (c *CLR) ImportState(st State) error {
-	c.importBase(st)
-	c.acts = importIntMap(st.Acts)
-	c.coupled = importSetMap(st.Marked)
-	c.banned = importSetMap(st.Banned)
-	c.pairs = importIntMap(st.Budget)
-	return nil
 }

@@ -120,7 +120,7 @@ func (t *TL) RowParams(row int) (*timing.Params, bool) {
 //mcrlint:hotpath mech dispatch (activation policy, per ACT)
 func (t *TL) OnActivate(row int, now int64) (int64, obs.EventKind, bool) {
 	if t.IsNear(row) {
-		t.stats.FastActivates++
+		t.st.Stats.FastActivates++
 	}
 	return 0, 0, false
 }

@@ -399,7 +399,9 @@ func (s *Sim) Checkpoint(w io.Writer) error {
 // recorded cycle. cfg must be the configuration of the checkpointed run
 // (snapshot.ErrConfigMismatch otherwise); the observability attachments
 // (Metrics/Trace) may differ but a snapshot with trace events requires a
-// tracer of the same capacity.
+// tracer of the same capacity. A decoded state the freshly built system
+// rejects (a geometry mismatch, an index out of range) is
+// snapshot.ErrCorrupt.
 func Restore(r io.Reader, cfg Config) (*Sim, error) {
 	st, err := snapshot.Decode(r)
 	if err != nil {
@@ -417,7 +419,7 @@ func Restore(r io.Reader, cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	if err := s.importState(st); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
 	}
 	return s, nil
 }
@@ -481,6 +483,9 @@ func (s *Sim) importState(st *snapshot.State) error {
 	if len(st.Cores) != len(s.cores) {
 		return fmt.Errorf("sim: checkpoint has %d cores, config has %d", len(st.Cores), len(s.cores))
 	}
+	if !coreIDsInRange(st, len(s.cores)) {
+		return fmt.Errorf("sim: checkpoint names a core outside the %d configured", len(s.cores))
+	}
 	if err := s.dev.ImportState(st.Device); err != nil {
 		return err
 	}
@@ -521,6 +526,30 @@ func (s *Sim) importState(st *snapshot.State) error {
 	}
 	s.next = st.NextCycle
 	return nil
+}
+
+// coreIDsInRange reports whether every completion and queued request in
+// the snapshot names one of the n cores: the loop indexes the core slice
+// with those ids.
+func coreIDsInRange(st *snapshot.State, n int) bool {
+	in := func(id int) bool { return id >= 0 && id < n }
+	for _, comps := range [][]controller.Completion{st.Loop.Pending, st.Controller.Completions} {
+		for _, c := range comps {
+			if !in(c.CoreID) {
+				return false
+			}
+		}
+	}
+	for _, queues := range [][][]controller.Request{st.Controller.ReadQ, st.Controller.WriteQ} {
+		for _, q := range queues {
+			for _, r := range q {
+				if !in(r.CoreID) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // importLoop reinstates the cycle-loop state.

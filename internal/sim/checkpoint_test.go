@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/snapshot"
@@ -98,6 +100,51 @@ func TestCheckpointResumeParity(t *testing.T) {
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
 				t.Errorf("checkpoint not removed after successful completion: %v", err)
 			}
+
+			// Restored before the first cycle, while every map is still
+			// empty. gob keeps an empty map empty, but a snapshot written
+			// elsewhere may omit it, so the maps are dropped outright: this
+			// catches an ImportState that leaves a nil map for the hot path
+			// to write.
+			ccfg := cfg
+			ccfg.Metrics, ccfg.Trace = obs.NewRegistry(), obs.NewTracer(ckptTraceCap)
+			s, err := sim.NewSim(ccfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap bytes.Buffer
+			if err := s.Checkpoint(&snap); err != nil {
+				t.Fatal(err)
+			}
+			st, err := snapshot.Decode(&snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := &st.Device.Mech
+			m.Quarantined, m.Hot, m.Fast, m.Banned, m.Budget = nil, nil, nil, nil, nil
+			for i := range st.Cores {
+				st.Cores[i].ReadsInFlight = nil
+			}
+			snap.Reset()
+			if err := snapshot.Encode(&snap, st); err != nil {
+				t.Fatal(err)
+			}
+			ecfg := cfg
+			ecfg.Metrics, ecfg.Trace = obs.NewRegistry(), obs.NewTracer(ckptTraceCap)
+			if s, err = sim.Restore(&snap, ecfg); err != nil {
+				t.Fatalf("restore from a pre-run checkpoint: %v", err)
+			}
+			res, err := s.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Wall = 0
+			if got, err = json.MarshalIndent(res, "", "  "); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("Result restored from a pre-run checkpoint diverged from uninterrupted run\n got: %s\nwant: %s", got, want)
+			}
 		})
 	}
 }
@@ -173,5 +220,80 @@ func TestCheckpointValidation(t *testing.T) {
 	cfg.Checkpoint = &sim.CheckpointConfig{Path: "x", EveryNCycles: -1}
 	if _, err := sim.Run(cfg); err == nil {
 		t.Fatal("negative EveryNCycles must be rejected")
+	}
+}
+
+// midRunSnapshot runs cfg until its first periodic checkpoint, cancels,
+// and returns the decoded snapshot.
+func midRunSnapshot(t *testing.T, cfg sim.Config) *snapshot.State {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.Checkpoint = &sim.CheckpointConfig{Path: path, EveryNCycles: 4096, OnWrite: func(int64) { cancel() }}
+	if _, err := sim.RunContext(ctx, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: want context.Canceled, got %v", err)
+	}
+	st, err := snapshot.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestRestoreRejectsOutOfRangeState: a snapshot whose checksum is valid
+// but whose state indexes outside the configured system is refused by
+// Restore with snapshot.ErrCorrupt, never accepted to panic in Run.
+func TestRestoreRejectsOutOfRangeState(t *testing.T) {
+	cfg := sim.DefaultConfig("stream")
+	cfg.InstsPerCore = 100_000
+	cfg.Seed = 3
+	base := midRunSnapshot(t, cfg)
+	// enqueue adds a read for core coreID to channel 0's queue.
+	enqueue := func(st *snapshot.State, coreID, row int) {
+		st.Controller.ReadQ[0] = append(st.Controller.ReadQ[0], controller.Request{
+			ID: 1 << 40, Kind: core.OpRead, Addr: core.Address{Row: row}, CoreID: coreID,
+			ArriveAt: st.NextCycle, PreAt: -1, ActAt: -1,
+		})
+	}
+	cases := []struct {
+		name   string
+		mutate func(st *snapshot.State)
+	}{
+		{"rob_head", func(st *snapshot.State) { st.Cores[0].Head, st.Cores[0].Sz = 1<<20, 1 }},
+		{"rob_size", func(st *snapshot.State) { st.Cores[0].Sz = -5 }},
+		{"reads_in_flight", func(st *snapshot.State) { st.Cores[0].ReadsInFlight[1<<40] = 1 << 20 }},
+		{"pending_core", func(st *snapshot.State) {
+			st.Loop.Pending = append(st.Loop.Pending, controller.Completion{ID: 1 << 40, CoreID: 7, DoneAt: 1 << 40})
+		}},
+		{"completion_core", func(st *snapshot.State) {
+			st.Controller.Completions = append(st.Controller.Completions, controller.Completion{ID: 1 << 40, CoreID: -3, DoneAt: st.NextCycle})
+		}},
+		{"queued_core", func(st *snapshot.State) { enqueue(st, 7, 0) }},
+		{"queued_row", func(st *snapshot.State) { enqueue(st, 0, -1) }},
+		{"faw_cursor", func(st *snapshot.State) { st.Device.Ranks[0].ActWindowAt = 9 }},
+		{"short_banks", func(st *snapshot.State) { st.Device.Banks = st.Device.Banks[:1] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Round-trip through the codec so every case mutates its own
+			// copy of the base state.
+			var buf bytes.Buffer
+			if err := snapshot.Encode(&buf, base); err != nil {
+				t.Fatal(err)
+			}
+			st, err := snapshot.Decode(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(st)
+			buf.Reset()
+			if err := snapshot.Encode(&buf, st); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sim.Restore(&buf, cfg); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("want snapshot.ErrCorrupt, got %v", err)
+			}
+		})
 	}
 }

@@ -39,7 +39,7 @@ import (
 )
 
 // Version is the snapshot format version; Decode rejects any other.
-const Version = 1
+const Version = 2
 
 // magic identifies a snapshot file.
 const magic = "MCRSNAP1"

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc64"
 	"io"
@@ -29,42 +30,42 @@ func sample() *State {
 		ConfigJSON: []byte(`{"Seed":1}`),
 		NextCycle:  0x3000,
 		Device: dram.State{
-			Banks:        []dram.BankState{{OpenRow: 7, OpenMCR: true, NextAct: 100, NextRead: 101, NextWrite: 102, NextPre: 103}},
-			Ranks:        []dram.RankState{{ActWindow: [4]int64{1, 2, 3, 4}, ActWindowAt: 2, NextAct: 50, NextReadOK: 51, RefreshBusyUntil: 52}},
+			Banks:        []dram.Bank{{OpenRow: 7, OpenMCR: true, NextAct: 100, NextRead: 101, NextWrite: 102, NextPre: 103}},
+			Ranks:        []dram.Rank{{ActWindow: [4]int64{1, 2, 3, 4}, ActWindowAt: 2, NextAct: 50, NextReadOK: 51, RefreshBusyUntil: 52}},
 			BusBusyUntil: []int64{9},
 			BusOwner:     []int{3},
 			NextCol:      []int64{12},
 			Stats:        dram.Stats{Activates: 11, Reads: 22},
 			PerBankActs:  []int64{11},
 			Mech: mech.State{
-				Quarantined: []int{4, 9},
+				Quarantined: map[int]bool{4: true, 9: true},
 				Mode:        mcr.Mode{K: 4, M: 2, Region: 0.5},
 				ModeGen:     3,
 				Counter:     17,
-				Acts:        []mech.IntPair{{K: 1, V: 2}},
-				Marked:      []int{5},
-				Banned:      []int{6},
-				Budget:      []mech.IntPair{{K: 0, V: 1}},
+				Hot:         map[int]int{1: 2},
+				Fast:        map[int]bool{5: true},
+				Banned:      map[int]bool{6: true},
+				Budget:      map[int]int{0: 1},
 			},
 		},
 		Controller: controller.State{
-			ReadQ:       [][]controller.RequestState{{{ID: 1, Kind: core.OpRead, CoreID: 0, ArriveAt: 4}}},
-			WriteQ:      [][]controller.RequestState{{{ID: 2, Kind: core.OpWrite, CoreID: 0, ArriveAt: 5}}},
+			ReadQ:       [][]controller.Request{{{ID: 1, Kind: core.OpRead, CoreID: 0, ArriveAt: 4}}},
+			WriteQ:      [][]controller.Request{{{ID: 2, Kind: core.OpWrite, CoreID: 0, ArriveAt: 5}}},
 			Drain:       []bool{true},
-			Refresh:     []controller.RefreshState{{NextDue: 100, Debt: 1, Counter: 2}},
+			Refresh:     []controller.RankRefresh{{NextDue: 100, Debt: 1, Counter: 2}},
 			NextID:      3,
 			Completions: []controller.Completion{{ID: 1, CoreID: 0, ArriveAt: 4, DoneAt: 9}},
 			TREFI:       1560,
 		},
 		Cores: []cpu.State{{
-			ROB:           []cpu.ROBEntryState{{Count: 1, ReadID: 2, Done: true}},
+			ROB:           []cpu.ROBEntry{{Count: 1, ReadID: 2, Done: true}},
 			Head:          0,
 			Sz:            1,
 			Occupancy:     1,
 			HasPending:    true,
 			TailGap:       2,
 			Retired:       1000,
-			ReadsInFlight: []cpu.ReadInFlight{{ID: 2, Idx: 0}},
+			ReadsInFlight: map[int64]int{2: 0},
 			ReadsIssued:   10,
 			WritesIssued:  5,
 			FetchStalls:   1,
@@ -191,6 +192,13 @@ func TestDecodeVersionSkew(t *testing.T) {
 	raw[8] = 0xFE // version field, outside the payload checksum
 	if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrVersion) {
 		t.Fatalf("want ErrVersion, got %v", err)
+	}
+	// A version-1 file carries the retired flattened mirror types; its
+	// payload must never reach the gob decoder.
+	raw = encode(t, sample())
+	binary.LittleEndian.PutUint32(raw[8:], 1)
+	if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-1 header: want ErrVersion, got %v", err)
 	}
 }
 
