@@ -172,6 +172,18 @@ type Controller struct {
 	touched []int64
 	//mcrlint:nosnapshot per-pass scratch, dead between scheduler passes
 	touchedGen int64
+	// colProbed stamps, with the same generation, each bank whose column
+	// gate a pass already probed and found shut: the gate depends only
+	// on bank, rank and channel, and a pass walks one queue of one kind.
+	//mcrlint:nosnapshot per-pass scratch
+	colProbed []int64
+	// bank and hit hold, per queue slot, the flat bank index and row-hit
+	// bit a pass probed once and its FCFS walk reuses; sized to the
+	// larger queue capacity.
+	//mcrlint:nosnapshot per-pass scratch
+	bank []int
+	//mcrlint:nosnapshot per-pass scratch
+	hit []bool
 
 	// obs/tr, when non-nil, receive row-buffer outcomes, the per-read
 	// stall attribution and MRS events; nil-safe no-ops otherwise.
@@ -193,13 +205,18 @@ func New(cfg Config, dev *dram.Device, rows *alloc.RowMap) (*Controller, error) 
 	if rows == nil {
 		rows = alloc.Identity(geom)
 	}
+	banks := geom.Channels * geom.Ranks * geom.Banks
+	depth := max(cfg.ReadQueueCap, cfg.WriteQueueCap)
 	c := &Controller{
-		cfg:     cfg,
-		dev:     dev,
-		geom:    geom,
-		mapper:  mapper,
-		rows:    rows,
-		touched: make([]int64, geom.Channels*geom.Ranks*geom.Banks),
+		cfg:       cfg,
+		dev:       dev,
+		geom:      geom,
+		mapper:    mapper,
+		rows:      rows,
+		touched:   make([]int64, banks),
+		colProbed: make([]int64, banks),
+		bank:      make([]int, depth),
+		hit:       make([]bool, depth),
 		st: State{
 			ReadQ:   make([][]Request, geom.Channels),
 			WriteQ:  make([][]Request, geom.Channels),
@@ -229,6 +246,11 @@ func (c *Controller) SetObservability(reg *obs.Registry, tr *obs.Tracer) {
 	c.obs, c.tr = reg, tr
 }
 
+// bankOf returns the flat bank index of a queued address.
+func (c *Controller) bankOf(a *core.Address) int {
+	return c.geom.BankIndex(a.Channel, a.Rank, a.Bank)
+}
+
 // decode maps a line number to its final DRAM coordinates, applying the
 // profile-based row allocation.
 func (c *Controller) decode(line int64) core.Address {
@@ -256,8 +278,9 @@ func (c *Controller) EnqueueRead(line int64, coreID int, now int64) (int64, bool
 	}
 	// Read-around-write: a pending write to the same line can serve the
 	// read immediately (store forwarding at the controller).
-	for _, w := range c.st.WriteQ[a.Channel] {
-		if w.Addr == a {
+	wq := c.st.WriteQ[a.Channel]
+	for i := range wq {
+		if wq[i].Addr == a {
 			id := c.st.NextID
 			c.st.NextID++
 			c.st.Completions = append(c.st.Completions, Completion{ID: id, CoreID: coreID, DoneAt: now + 1, ArriveAt: now}) //mcrlint:allow hotalloc DrainCompletions recycles this slice's capacity; steady state appends in place

@@ -77,12 +77,11 @@ func (c *Controller) drainChannel(ch int, now int64) bool {
 	issued := false
 	for r := 0; r < c.geom.Ranks; r++ {
 		for b := 0; b < c.geom.Banks; b++ {
-			a := core.Address{Channel: ch, Rank: r, Bank: b}
-			if c.dev.OpenRow(a) < 0 {
+			if c.dev.OpenRowAt(c.geom.BankIndex(ch, r, b)) < 0 {
 				continue
 			}
 			closed = false
-			if !issued && c.dev.CanPrecharge(a, now) {
+			if a := (core.Address{Channel: ch, Rank: r, Bank: b}); !issued && c.dev.CanPrecharge(a, now) {
 				c.dev.Precharge(a, now)
 				issued = true
 			}

@@ -69,11 +69,11 @@ func (c *Controller) NextEventAt(now int64) int64 {
 		for ch := 0; ch < c.geom.Channels; ch++ {
 			for r := 0; r < c.geom.Ranks; r++ {
 				for b := 0; b < c.geom.Banks; b++ {
-					a := core.Address{Channel: ch, Rank: r, Bank: b}
-					if c.dev.OpenRow(a) < 0 {
+					if c.dev.OpenRowAt(c.geom.BankIndex(ch, r, b)) < 0 {
 						continue
 					}
 					anyOpen = true
+					a := core.Address{Channel: ch, Rank: r, Bank: b}
 					if t, ok := c.dev.EarliestPrecharge(a, from); ok && t < ev {
 						if t <= from {
 							return from
@@ -127,8 +127,9 @@ func (c *Controller) NextEventAt(now int64) int64 {
 		if c.cfg.RowPolicy == ClosePage {
 			for r := 0; r < c.geom.Ranks; r++ {
 				for b := 0; b < c.geom.Banks; b++ {
-					a := core.Address{Channel: ch, Rank: r, Bank: b}
-					if c.dev.OpenRow(a) >= 0 && !c.rowWanted(a) {
+					bid := c.geom.BankIndex(ch, r, b)
+					if c.dev.OpenRowAt(bid) >= 0 && !c.rowWanted(ch, bid) {
+						a := core.Address{Channel: ch, Rank: r, Bank: b}
 						if t, ok := c.dev.EarliestPrecharge(a, from); ok && t < ev {
 							ev = t
 						}
@@ -178,36 +179,35 @@ func (c *Controller) replayPass(q []Request, from, n int64) {
 		return
 	}
 	if c.cfg.Scheduler == FCFS {
-		c.replayBlocked(&q[0], from, n)
+		c.replayBlocked(&q[0], c.bankOf(&q[0].Addr), from, n)
 		return
 	}
 	if lim := c.cfg.StarvationLimit; lim > 0 && from-q[0].ArriveAt > lim {
-		c.replayBlocked(&q[0], from, n)
+		c.replayBlocked(&q[0], c.bankOf(&q[0].Addr), from, n)
 		return
 	}
 	c.touchedGen++
 	for i := range q {
-		req := &q[i]
-		bid := req.Addr.BankID(c.geom)
+		bid := c.bankOf(&q[i].Addr)
 		if c.touched[bid] == c.touchedGen {
 			continue
 		}
 		c.touched[bid] = c.touchedGen
-		c.replayBlocked(req, from, n)
+		c.replayBlocked(&q[i], bid, from, n)
 	}
 }
 
 // replayBlocked bumps one request's blocked counters exactly as n
-// blocked prepareBank attempts would: a refresh in flight on the rank
-// (constant across the span — NextEventAt capped it at the window's
-// expiry) classifies the slot as RefBlocked, an open row's unexpired
-// tRAS/tWR window as RasBlocked; row hits mutate nothing.
-func (c *Controller) replayBlocked(req *Request, from, n int64) {
-	if c.dev.IsRowHit(req.Addr) {
+// blocked prepareBank attempts on bank bid would: a refresh in flight on
+// the rank (constant across the span — NextEventAt capped it at the
+// window's expiry) classifies the slot as RefBlocked, an open row's
+// unexpired tRAS/tWR window as RasBlocked; row hits mutate nothing.
+func (c *Controller) replayBlocked(req *Request, bid int, from, n int64) {
+	if c.dev.RowHit(c.dev.OpenRowAt(bid), req.Addr.Row) {
 		return
 	}
 	busy := c.dev.RefreshBusy(req.Addr.Channel, req.Addr.Rank, from)
-	if c.dev.OpenRow(req.Addr) < 0 {
+	if c.dev.OpenRowAt(bid) < 0 {
 		if req.PreAt < 0 && req.ActAt < 0 && busy {
 			req.RefBlocked += n
 		}
@@ -227,6 +227,8 @@ func (c *Controller) replayBlocked(req *Request, from, n int64) {
 // column time, the first-per-bank set's preparation times, and the
 // anti-starvation threshold of the oldest request. It returns from as
 // soon as one request is ready then, since nothing can come earlier.
+// Like schedulePass it probes each request's row hit once and each
+// bank's column gate once.
 func (c *Controller) queueEventAt(q []Request, from int64) int64 {
 	if len(q) == 0 {
 		return math.MaxInt64
@@ -243,30 +245,34 @@ func (c *Controller) queueEventAt(q []Request, from int64) int64 {
 		}
 		ev = q[0].ArriveAt + lim + 1 // the cycle starvation engages
 	}
+	c.touchedGen++
+	gen := c.touchedGen
+	bank, hit := c.bank[:len(q)], c.hit[:len(q)]
 	for i := range q {
-		req := &q[i]
-		if !c.dev.IsRowHit(req.Addr) {
+		a := &q[i].Addr
+		bid := c.bankOf(a)
+		bank[i], hit[i] = bid, c.dev.RowHit(c.dev.OpenRowAt(bid), a.Row)
+		if !hit[i] || c.colProbed[bid] == gen {
 			continue
 		}
-		if t := c.requestEventAt(req, from); t < ev {
+		c.colProbed[bid] = gen
+		if t := c.columnEventAt(&q[i], from); t < ev {
 			if t <= from {
 				return from
 			}
 			ev = t
 		}
 	}
-	c.touchedGen++
 	for i := range q {
-		req := &q[i]
-		bid := req.Addr.BankID(c.geom)
-		if c.touched[bid] == c.touchedGen {
+		bid := bank[i]
+		if c.touched[bid] == gen {
 			continue
 		}
-		c.touched[bid] = c.touchedGen
-		if c.dev.IsRowHit(req.Addr) {
+		c.touched[bid] = gen
+		if hit[i] {
 			continue // its column event is already folded in above
 		}
-		if t := c.requestEventAt(req, from); t < ev {
+		if t := c.prepareEventAt(&q[i], bid, from); t < ev {
 			if t <= from {
 				return from
 			}
@@ -281,20 +287,32 @@ func (c *Controller) queueEventAt(q []Request, from int64) int64 {
 // a conflict) becomes legal. The Earliest* gates are maxima over frozen
 // state, so the command is illegal strictly before the returned cycle.
 func (c *Controller) requestEventAt(req *Request, from int64) int64 {
-	if c.dev.IsRowHit(req.Addr) {
-		var t int64
-		var ok bool
-		if req.Kind == core.OpRead {
-			t, ok = c.dev.EarliestRead(req.Addr, from)
-		} else {
-			t, ok = c.dev.EarliestWrite(req.Addr, from)
-		}
-		if ok {
-			return t
-		}
-		return math.MaxInt64
+	bid := c.bankOf(&req.Addr)
+	if c.dev.RowHit(c.dev.OpenRowAt(bid), req.Addr.Row) {
+		return c.columnEventAt(req, from)
 	}
-	if c.dev.OpenRow(req.Addr) < 0 {
+	return c.prepareEventAt(req, bid, from)
+}
+
+// columnEventAt is requestEventAt for a row hit: its RD/WR time.
+func (c *Controller) columnEventAt(req *Request, from int64) int64 {
+	var t int64
+	var ok bool
+	if req.Kind == core.OpRead {
+		t, ok = c.dev.EarliestRead(req.Addr, from)
+	} else {
+		t, ok = c.dev.EarliestWrite(req.Addr, from)
+	}
+	if ok {
+		return t
+	}
+	return math.MaxInt64
+}
+
+// prepareEventAt is requestEventAt for a miss on bank bid: its ACT time
+// when the bank is closed, its PRE time on a conflict.
+func (c *Controller) prepareEventAt(req *Request, bid int, from int64) int64 {
+	if c.dev.OpenRowAt(bid) < 0 {
 		if t, ok := c.dev.EarliestActivate(req.Addr, from); ok {
 			return t
 		}
@@ -310,9 +328,10 @@ func (c *Controller) requestEventAt(req *Request, from int64) int64 {
 // bank (bank order) gates everything on its PRE; with the rank fully
 // precharged the REF itself is the event.
 func (c *Controller) refreshIssueAt(ch, r int, from int64) int64 {
+	base := c.geom.BankIndex(ch, r, 0)
 	for b := 0; b < c.geom.Banks; b++ {
-		a := core.Address{Channel: ch, Rank: r, Bank: b}
-		if c.dev.OpenRow(a) >= 0 {
+		if c.dev.OpenRowAt(base+b) >= 0 {
+			a := core.Address{Channel: ch, Rank: r, Bank: b}
 			if t, ok := c.dev.EarliestPrecharge(a, from); ok {
 				return t
 			}

@@ -78,9 +78,10 @@ func (c *Controller) updateDrainMode(ch int) {
 func (c *Controller) issueRefresh(ch, r int, now int64) bool {
 	rr := &c.st.Refresh[ch*c.geom.Ranks+r]
 	// Precharge any open bank of the rank first.
+	base := c.geom.BankIndex(ch, r, 0)
 	for b := 0; b < c.geom.Banks; b++ {
-		a := core.Address{Channel: ch, Rank: r, Bank: b}
-		if c.dev.OpenRow(a) >= 0 {
+		if c.dev.OpenRowAt(base+b) >= 0 {
+			a := core.Address{Channel: ch, Rank: r, Bank: b}
 			if c.dev.CanPrecharge(a, now) {
 				c.dev.Precharge(a, now)
 				return true
@@ -183,27 +184,37 @@ func (c *Controller) schedulePass(ch int, q []Request, now int64) bool {
 	if lim := c.cfg.StarvationLimit; lim > 0 && now-q[0].ArriveAt > lim {
 		return c.advanceRequest(ch, &q[0], now)
 	}
-	// First-ready: oldest request whose column access is legal this cycle.
+	// All scratch is preallocated and generation-stamped: this pass runs
+	// every cycle, so it must not allocate.
+	c.touchedGen++
+	gen := c.touchedGen
+	bank, hit := c.bank[:len(q)], c.hit[:len(q)]
+	// First-ready: oldest request whose column access is legal this
+	// cycle. Each request's bank and row-hit bit are probed once; a
+	// bank's column gate is probed once, since a later hit on a bank
+	// whose gate is shut is shut too.
 	for i := range q {
-		req := &q[i]
-		if c.dev.IsRowHit(req.Addr) && c.tryColumn(ch, req, now) {
+		a := &q[i].Addr
+		bid := c.bankOf(a)
+		bank[i], hit[i] = bid, c.dev.RowHit(c.dev.OpenRowAt(bid), a.Row)
+		if !hit[i] || c.colProbed[bid] == gen {
+			continue
+		}
+		c.colProbed[bid] = gen
+		if c.tryColumn(ch, &q[i], now) {
 			return true
 		}
 	}
 	// Then FCFS: walk requests oldest-first and issue the first legal
 	// preparation command (PRE for a conflict, ACT for a closed bank),
-	// skipping banks already claimed by an earlier request this pass. The
-	// dedup scratch is a preallocated generation-stamped array — this pass
-	// runs every cycle, so it must not allocate.
-	c.touchedGen++
+	// skipping banks already claimed by an earlier request this pass.
 	for i := range q {
-		req := &q[i]
-		bid := req.Addr.BankID(c.geom)
-		if c.touched[bid] == c.touchedGen {
+		bid := bank[i]
+		if c.touched[bid] == gen {
 			continue
 		}
-		c.touched[bid] = c.touchedGen
-		if c.prepareBank(ch, req, now) {
+		c.touched[bid] = gen
+		if c.prepareBank(ch, &q[i], bid, hit[i], now) {
 			return true
 		}
 	}
@@ -213,10 +224,11 @@ func (c *Controller) schedulePass(ch int, q []Request, now int64) bool {
 // advanceRequest moves a single request forward by whatever command it
 // needs next (FCFS path).
 func (c *Controller) advanceRequest(ch int, req *Request, now int64) bool {
-	if c.dev.IsRowHit(req.Addr) {
+	bid := c.bankOf(&req.Addr)
+	if c.dev.RowHit(c.dev.OpenRowAt(bid), req.Addr.Row) {
 		return c.tryColumn(ch, req, now)
 	}
-	return c.prepareBank(ch, req, now)
+	return c.prepareBank(ch, req, bid, false, now)
 }
 
 // tryColumn issues the RD/WR of a row-hitting request if legal, retiring it
@@ -261,21 +273,21 @@ func (c *Controller) postColumn(a core.Address, now int64) {
 	if c.cfg.RowPolicy != ClosePage {
 		return
 	}
-	if !c.rowWanted(a) && c.dev.CanPrecharge(a, now+1) {
+	if !c.rowWanted(a.Channel, c.bankOf(&a)) && c.dev.CanPrecharge(a, now+1) {
 		// Model auto-precharge: close next cycle without using a slot.
 		c.dev.Precharge(a, now+1)
 	}
 }
 
-// prepareBank issues PRE (row conflict) or ACT (closed bank) for a request,
-// stamping the request's stall-attribution markers. Blocked attempts before
-// the request's own PRE/ACT are classified: refresh in flight on the rank
-// counts toward tRFC, an open row still inside its tRAS/tWR window toward
-// the tRAS tail; everything else stays queueing by default.
-func (c *Controller) prepareBank(ch int, req *Request, now int64) bool {
-	open := c.dev.OpenRow(req.Addr)
+// prepareBank issues PRE (row conflict) or ACT (closed bank) for a request
+// in bank bid, whose row-hit bit the caller probed, stamping the request's
+// stall-attribution markers. Blocked attempts before the request's own
+// PRE/ACT are classified: refresh in flight on the rank counts toward
+// tRFC, an open row still inside its tRAS/tWR window toward the tRAS
+// tail; everything else stays queueing by default.
+func (c *Controller) prepareBank(ch int, req *Request, bid int, hit bool, now int64) bool {
 	switch {
-	case open < 0:
+	case c.dev.OpenRowAt(bid) < 0:
 		if c.dev.CanActivate(req.Addr, now) {
 			c.dev.Activate(req.Addr, now)
 			c.st.Stats.RowMisses++
@@ -286,7 +298,7 @@ func (c *Controller) prepareBank(ch int, req *Request, now int64) bool {
 		if req.PreAt < 0 && req.ActAt < 0 && c.dev.RefreshBusy(req.Addr.Channel, req.Addr.Rank, now) {
 			req.RefBlocked++
 		}
-	case !c.dev.IsRowHit(req.Addr):
+	case !hit:
 		if c.dev.CanPrecharge(req.Addr, now) {
 			c.dev.Precharge(req.Addr, now)
 			c.st.Stats.RowConflicts++
@@ -305,19 +317,20 @@ func (c *Controller) prepareBank(ch int, req *Request, now int64) bool {
 	return false
 }
 
-// rowWanted reports whether any queued request targets the open row of a
-// bank.
-func (c *Controller) rowWanted(a core.Address) bool {
-	open := c.dev.OpenRow(a)
-	if open < 0 {
+// rowWanted reports whether any request queued on channel ch targets the
+// open row of bank bid.
+func (c *Controller) rowWanted(ch, bid int) bool {
+	if c.dev.OpenRowAt(bid) < 0 {
 		return false
 	}
-	for _, q := range [][]Request{c.st.ReadQ[a.Channel], c.st.WriteQ[a.Channel]} {
-		for i := range q {
-			r := q[i].Addr
-			if r.Rank == a.Rank && r.Bank == a.Bank && c.dev.IsRowHit(r) {
-				return true
-			}
+	return c.hitsBank(c.st.ReadQ[ch], bid) || c.hitsBank(c.st.WriteQ[ch], bid)
+}
+
+// hitsBank reports whether a queued request row-hits bank bid.
+func (c *Controller) hitsBank(q []Request, bid int) bool {
+	for i := range q {
+		if a := &q[i].Addr; c.bankOf(a) == bid && c.dev.RowHit(c.dev.OpenRowAt(bid), a.Row) {
+			return true
 		}
 	}
 	return false
@@ -331,8 +344,11 @@ func (c *Controller) scheduleHousekeeping(ch int, now int64) {
 	}
 	for r := 0; r < c.geom.Ranks; r++ {
 		for b := 0; b < c.geom.Banks; b++ {
-			a := core.Address{Channel: ch, Rank: r, Bank: b}
-			if c.dev.OpenRow(a) >= 0 && !c.rowWanted(a) && c.dev.CanPrecharge(a, now) {
+			bid := c.geom.BankIndex(ch, r, b)
+			if c.dev.OpenRowAt(bid) < 0 || c.rowWanted(ch, bid) {
+				continue
+			}
+			if a := (core.Address{Channel: ch, Rank: r, Bank: b}); c.dev.CanPrecharge(a, now) {
 				c.dev.Precharge(a, now)
 				return
 			}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/mcr"
 )
 
@@ -56,9 +57,12 @@ func cloneQueues(q [][]Request) [][]Request {
 
 // ImportState reinstates a checkpointed state on a freshly built
 // controller of the same configuration, which takes ownership of st's
-// storage. Queued requests must address the geometry and sit in their
-// own channel's queue; the core ids they and the completions carry are
-// the caller's to check.
+// storage. Each queue must fit its configured capacity and hold only
+// its own kind of request, and every queued request must address the
+// geometry and sit in its own channel's queue: the scheduler's per-pass
+// scratch and its per-bank column-gate memo rely on all three. The core
+// ids the requests and completions carry, and the refresh deadlines
+// against the resume cycle, are the caller's to check.
 func (c *Controller) ImportState(st State) error {
 	switch {
 	case len(st.ReadQ) != len(c.st.ReadQ) || len(st.WriteQ) != len(c.st.WriteQ) || len(st.Drain) != len(c.st.Drain):
@@ -69,9 +73,19 @@ func (c *Controller) ImportState(st State) error {
 		return fmt.Errorf("controller: checkpointed tREFI must be positive, got %d", st.TREFI)
 	}
 	g := c.geom
-	for _, queues := range [][][]Request{st.ReadQ, st.WriteQ} {
-		for ch, q := range queues {
+	for _, qs := range []struct {
+		queues [][]Request
+		kind   core.OpKind
+		limit  int
+	}{{st.ReadQ, core.OpRead, c.cfg.ReadQueueCap}, {st.WriteQ, core.OpWrite, c.cfg.WriteQueueCap}} {
+		for ch, q := range qs.queues {
+			if len(q) > qs.limit {
+				return fmt.Errorf("controller: checkpointed %s queue on channel %d holds %d requests, capacity is %d", qs.kind, ch, len(q), qs.limit)
+			}
 			for _, r := range q {
+				if r.Kind != qs.kind {
+					return fmt.Errorf("controller: checkpointed request %d of kind %d sits in the %s queue of channel %d", r.ID, r.Kind, qs.kind, ch)
+				}
 				a := r.Addr
 				if a.Channel != ch || a.Rank < 0 || a.Rank >= g.Ranks || a.Bank < 0 || a.Bank >= g.Banks || a.Row < 0 || a.Row >= g.Rows {
 					return fmt.Errorf("controller: checkpointed request %d on channel %d has address %v outside the geometry", r.ID, ch, a)

@@ -119,7 +119,16 @@ func (a Address) String() string {
 // BankID flattens (channel, rank, bank) into a dense index for per-bank
 // bookkeeping tables.
 func (a Address) BankID(g Geometry) int {
-	return (a.Channel*g.Ranks+a.Rank)*g.Banks + a.Bank
+	return g.BankIndex(a.Channel, a.Rank, a.Bank)
+}
+
+// BankIndex is BankID from the address fields. Its pointer receiver is
+// for the per-cycle paths: neither the six-field Geometry nor the
+// five-field Address fits the four fields Go's SSA backend keeps in
+// registers, so passing either by value into an inlined helper copies
+// it through memory on every call.
+func (g *Geometry) BankIndex(ch, rank, bank int) int {
+	return (ch*g.Ranks+rank)*g.Banks + bank
 }
 
 // CommandKind enumerates the DRAM commands the controller can issue.

@@ -138,7 +138,9 @@ func (c *Core) retire(now int64) {
 		c.Occupancy -= take
 		if e.Count == 0 {
 			e.ReadID = -1
-			c.Head = (c.Head + 1) % len(c.ROB)
+			if c.Head++; c.Head == len(c.ROB) {
+				c.Head = 0
+			}
 			c.Sz--
 		}
 		if c.State.Retired >= c.totalInsts && c.State.DoneAt < 0 {
@@ -206,8 +208,7 @@ func (c *Core) pushNonMem(n int) {
 		return
 	}
 	if c.Sz > 0 {
-		tail := (c.Head + c.Sz - 1) % len(c.ROB)
-		e := &c.ROB[tail]
+		e := &c.ROB[c.ring(c.Head+c.Sz-1)]
 		if e.ReadID < 0 {
 			e.Count += n
 			c.Occupancy += n
@@ -219,19 +220,18 @@ func (c *Core) pushNonMem(n int) {
 
 // pushEntry appends a ROB entry, returning its ring index.
 func (c *Core) pushEntry(e ROBEntry) int {
-	idx := (c.Head + c.Sz) % len(c.ROB)
+	idx := c.ring(c.Head + c.Sz)
 	c.ROB[idx] = e
 	c.Sz++
 	c.Occupancy += e.Count
 	return idx
 }
 
-func min(vs ...int) int {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v < m {
-			m = v
-		}
+// ring wraps a position in [0, 2*len(ROB)) onto the ring with a compare:
+// a % on the runtime length is an integer division on every cycle.
+func (c *Core) ring(i int) int {
+	if i >= len(c.ROB) {
+		i -= len(c.ROB)
 	}
-	return m
+	return i
 }

@@ -46,12 +46,12 @@ func (r *Rank) recordAct(t int64) {
 // would be legal, and whether the bank is in a state that allows it at all
 // (closed).
 func (d *Device) EarliestActivate(a core.Address, now int64) (int64, bool) {
-	b, rk := d.bankAt(a), d.rankAt(a)
+	b := d.bankAt(a.Channel, a.Rank, a.Bank)
 	if b.OpenRow >= 0 {
 		return 0, false
 	}
-	t := max64(now, b.NextAct, rk.NextAct, rk.fawGate(d.tim.Normal.TFAW), rk.RefreshBusyUntil)
-	return t, true
+	rk := d.rankAt(a.Channel, a.Rank)
+	return max(now, b.NextAct, rk.NextAct, rk.fawGate(d.tim.Normal.TFAW), rk.RefreshBusyUntil), true
 }
 
 // CanActivate reports whether ACT to addr is legal at cycle now.
@@ -67,7 +67,8 @@ func (d *Device) Activate(a core.Address, now int64) {
 	if !d.CanActivate(a, now) {
 		panic(fmt.Sprintf("dram: illegal ACT %v at cycle %d", a, now))
 	}
-	b, rk := d.bankAt(a), d.rankAt(a)
+	bid := d.cfg.Geom.BankIndex(a.Channel, a.Rank, a.Bank)
+	b, rk := &d.st.Banks[bid], d.rankAt(a.Channel, a.Rank)
 	p, inMCR := d.RowParams(a.Row)
 	// The backend's per-activation policy may charge extra cycles to this
 	// ACT (a CROW copy, a CLR conversion): the opened row absorbs them in
@@ -75,18 +76,18 @@ func (d *Device) Activate(a core.Address, now int64) {
 	extra, ev, emitEv := d.mech.OnActivate(a.Row, now)
 	b.OpenRow = a.Row
 	b.OpenMCR = inMCR
-	b.NextRead = max64(b.NextRead, now+int64(p.TRCD)+extra)
-	b.NextWrite = max64(b.NextWrite, now+int64(p.TRCD)+extra)
-	b.NextPre = max64(b.NextPre, now+int64(p.TRAS)+extra)
-	b.NextAct = max64(b.NextAct, now+int64(p.TRC)+extra)
-	rk.NextAct = max64(rk.NextAct, now+int64(d.tim.Normal.TRRD))
+	b.NextRead = max(b.NextRead, now+int64(p.TRCD)+extra)
+	b.NextWrite = max(b.NextWrite, now+int64(p.TRCD)+extra)
+	b.NextPre = max(b.NextPre, now+int64(p.TRAS)+extra)
+	b.NextAct = max(b.NextAct, now+int64(p.TRC)+extra)
+	rk.NextAct = max(rk.NextAct, now+int64(d.tim.Normal.TRRD))
 	rk.recordAct(now)
 	d.st.Stats.Activates++
-	d.st.PerBankActs[a.BankID(d.cfg.Geom)]++
+	d.st.PerBankActs[bid]++
 	if inMCR {
 		d.st.Stats.MCRActivates++
 	}
-	d.obs.IncCommand(obs.CmdACT, a.BankID(d.cfg.Geom))
+	d.obs.IncCommand(obs.CmdACT, bid)
 	var gangK int64
 	if inMCR {
 		gangK = int64(d.mech.GangK(a.Row))
@@ -103,24 +104,24 @@ func (d *Device) Activate(a core.Address, now int64) {
 // EarliestRead returns the first cycle >= now a READ to addr could issue,
 // and false when the bank does not have the right row open.
 func (d *Device) EarliestRead(a core.Address, now int64) (int64, bool) {
-	if !d.IsRowHit(a) {
+	b := d.bankAt(a.Channel, a.Rank, a.Bank)
+	if !d.RowHit(b.OpenRow, a.Row) {
 		return 0, false
 	}
-	b, rk := d.bankAt(a), d.rankAt(a)
-	t := max64(now, b.NextRead, rk.NextReadOK, d.st.NextCol[a.Channel], rk.RefreshBusyUntil)
-	// Data bus: burst occupies [t+CL, t+CL+BL); wait until free, plus the
-	// rank-to-rank switch penalty when ownership changes.
-	for {
-		start := t + int64(d.tim.Normal.TCAS)
-		busFree := d.st.BusBusyUntil[a.Channel]
-		if d.st.BusOwner[a.Channel] != a.Rank && d.st.BusOwner[a.Channel] >= 0 {
-			busFree += int64(d.tim.Normal.TRTRS)
-		}
-		if start >= busFree {
-			return t, true
-		}
-		t += busFree - start
+	rk := d.rankAt(a.Channel, a.Rank)
+	t := max(now, b.NextRead, rk.NextReadOK, d.st.NextCol[a.Channel], rk.RefreshBusyUntil)
+	return d.busSlot(t, a.Channel, a.Rank, d.tim.Normal.TCAS), true
+}
+
+// busSlot delays a column command ready at t until its data burst, lat
+// cycles after issue, finds the channel's bus free — plus the
+// rank-to-rank switch penalty when another rank owns the bus.
+func (d *Device) busSlot(t int64, ch, rank, lat int) int64 {
+	free := d.st.BusBusyUntil[ch]
+	if o := d.st.BusOwner[ch]; o >= 0 && o != rank {
+		free += int64(d.tim.Normal.TRTRS)
 	}
+	return max(t, free-int64(lat))
 }
 
 // CanRead reports whether READ to addr is legal at cycle now.
@@ -137,37 +138,29 @@ func (d *Device) Read(a core.Address, now int64) int64 {
 	if !d.CanRead(a, now) {
 		panic(fmt.Sprintf("dram: illegal RD %v at cycle %d", a, now))
 	}
-	b := d.bankAt(a)
+	bid := d.cfg.Geom.BankIndex(a.Channel, a.Rank, a.Bank)
+	b := &d.st.Banks[bid]
 	start := now + int64(d.tim.Normal.TCAS)
 	end := start + int64(d.tim.Normal.TBURST)
 	d.st.BusBusyUntil[a.Channel] = end
 	d.st.BusOwner[a.Channel] = a.Rank
 	d.st.NextCol[a.Channel] = now + int64(d.tim.Normal.TCCD)
-	b.NextPre = max64(b.NextPre, now+int64(d.tim.Normal.TRTP))
+	b.NextPre = max(b.NextPre, now+int64(d.tim.Normal.TRTP))
 	d.st.Stats.Reads++
-	d.obs.IncCommand(obs.CmdRD, a.BankID(d.cfg.Geom))
+	d.obs.IncCommand(obs.CmdRD, bid)
 	d.emit(obs.EvRD, now, end-now, a, a.Row, 0)
 	return end
 }
 
 // EarliestWrite returns the first cycle >= now a WRITE to addr could issue.
 func (d *Device) EarliestWrite(a core.Address, now int64) (int64, bool) {
-	if !d.IsRowHit(a) {
+	b := d.bankAt(a.Channel, a.Rank, a.Bank)
+	if !d.RowHit(b.OpenRow, a.Row) {
 		return 0, false
 	}
-	b, rk := d.bankAt(a), d.rankAt(a)
-	t := max64(now, b.NextWrite, d.st.NextCol[a.Channel], rk.RefreshBusyUntil)
-	for {
-		start := t + int64(d.tim.Normal.TCWD)
-		busFree := d.st.BusBusyUntil[a.Channel]
-		if d.st.BusOwner[a.Channel] != a.Rank && d.st.BusOwner[a.Channel] >= 0 {
-			busFree += int64(d.tim.Normal.TRTRS)
-		}
-		if start >= busFree {
-			return t, true
-		}
-		t += busFree - start
-	}
+	rk := d.rankAt(a.Channel, a.Rank)
+	t := max(now, b.NextWrite, d.st.NextCol[a.Channel], rk.RefreshBusyUntil)
+	return d.busSlot(t, a.Channel, a.Rank, d.tim.Normal.TCWD), true
 }
 
 // CanWrite reports whether WRITE to addr is legal at cycle now.
@@ -184,7 +177,8 @@ func (d *Device) Write(a core.Address, now int64) int64 {
 	if !d.CanWrite(a, now) {
 		panic(fmt.Sprintf("dram: illegal WR %v at cycle %d", a, now))
 	}
-	b, rk := d.bankAt(a), d.rankAt(a)
+	bid := d.cfg.Geom.BankIndex(a.Channel, a.Rank, a.Bank)
+	b, rk := &d.st.Banks[bid], d.rankAt(a.Channel, a.Rank)
 	start := now + int64(d.tim.Normal.TCWD)
 	end := start + int64(d.tim.Normal.TBURST)
 	d.st.BusBusyUntil[a.Channel] = end
@@ -192,10 +186,10 @@ func (d *Device) Write(a core.Address, now int64) int64 {
 	d.st.NextCol[a.Channel] = now + int64(d.tim.Normal.TCCD)
 	// Write recovery gates the precharge; write-to-read turnaround gates
 	// subsequent reads in the whole rank.
-	b.NextPre = max64(b.NextPre, end+int64(d.tim.Normal.TWR))
-	rk.NextReadOK = max64(rk.NextReadOK, end+int64(d.tim.Normal.TWTR))
+	b.NextPre = max(b.NextPre, end+int64(d.tim.Normal.TWR))
+	rk.NextReadOK = max(rk.NextReadOK, end+int64(d.tim.Normal.TWTR))
 	d.st.Stats.Writes++
-	d.obs.IncCommand(obs.CmdWR, a.BankID(d.cfg.Geom))
+	d.obs.IncCommand(obs.CmdWR, bid)
 	d.emit(obs.EvWR, now, end-now, a, a.Row, 0)
 	return end
 }
@@ -203,12 +197,11 @@ func (d *Device) Write(a core.Address, now int64) int64 {
 // EarliestPrecharge returns the first cycle >= now a PRE could issue to the
 // bank of addr; false when the bank is already closed.
 func (d *Device) EarliestPrecharge(a core.Address, now int64) (int64, bool) {
-	b := d.bankAt(a)
+	b := d.bankAt(a.Channel, a.Rank, a.Bank)
 	if b.OpenRow < 0 {
 		return 0, false
 	}
-	rk := d.rankAt(a)
-	return max64(now, b.NextPre, rk.RefreshBusyUntil), true
+	return max(now, b.NextPre, d.rankAt(a.Channel, a.Rank).RefreshBusyUntil), true
 }
 
 // CanPrecharge reports whether PRE is legal at cycle now.
@@ -224,13 +217,14 @@ func (d *Device) Precharge(a core.Address, now int64) {
 	if !d.CanPrecharge(a, now) {
 		panic(fmt.Sprintf("dram: illegal PRE %v at cycle %d", a, now))
 	}
-	b := d.bankAt(a)
+	bid := d.cfg.Geom.BankIndex(a.Channel, a.Rank, a.Bank)
+	b := &d.st.Banks[bid]
 	closed := b.OpenRow
 	b.OpenRow = -1
 	b.OpenMCR = false
-	b.NextAct = max64(b.NextAct, now+int64(d.tim.Normal.TRP))
+	b.NextAct = max(b.NextAct, now+int64(d.tim.Normal.TRP))
 	d.st.Stats.Precharges++
-	d.obs.IncCommand(obs.CmdPRE, a.BankID(d.cfg.Geom))
+	d.obs.IncCommand(obs.CmdPRE, bid)
 	d.emit(obs.EvPRE, now, int64(d.tim.Normal.TRP), a, closed, 0)
 	if d.hook != nil {
 		d.hook.Precharged(a, closed, d.MEff(closed), now)
@@ -240,14 +234,14 @@ func (d *Device) Precharge(a core.Address, now int64) {
 // EarliestRefresh returns the first cycle >= now a REF could issue to the
 // rank (all banks must be precharged); false when some bank is open.
 func (d *Device) EarliestRefresh(ch, rankID int, now int64) (int64, bool) {
-	g := d.cfg.Geom
+	g := &d.cfg.Geom
 	t := now
 	for bk := 0; bk < g.Banks; bk++ {
 		b := &d.st.Banks[(ch*g.Ranks+rankID)*g.Banks+bk]
 		if b.OpenRow >= 0 {
 			return 0, false
 		}
-		t = max64(t, b.NextAct)
+		t = max(t, b.NextAct)
 	}
 	return t, true
 }
@@ -288,10 +282,10 @@ func (d *Device) Refresh(ch, rankID int, counter int, now int64) (mcr.LayoutRefr
 	done := now + tRFC
 	rk := &d.st.Ranks[ch*d.cfg.Geom.Ranks+rankID]
 	rk.RefreshBusyUntil = done
-	g := d.cfg.Geom
+	g := &d.cfg.Geom
 	for bk := 0; bk < g.Banks; bk++ {
 		b := &d.st.Banks[(ch*g.Ranks+rankID)*g.Banks+bk]
-		b.NextAct = max64(b.NextAct, done)
+		b.NextAct = max(b.NextAct, done)
 	}
 	d.st.Stats.Refreshes++
 	if d.obs != nil {
@@ -329,13 +323,3 @@ func (d *Device) SetMode(mode mcr.Mode, now int64) error {
 // ModeGeneration exposes the mode-register generation counter (0 for
 // backends without a mode register).
 func (d *Device) ModeGeneration() int { return d.mech.ModeGeneration() }
-
-func max64(vs ...int64) int64 {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}

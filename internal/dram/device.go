@@ -162,12 +162,14 @@ func (d *Device) RefreshBusy(ch, rankID int, now int64) bool {
 	return d.st.Ranks[ch*d.cfg.Geom.Ranks+rankID].RefreshBusyUntil > now
 }
 
-func (d *Device) bankAt(a core.Address) *Bank {
-	return &d.st.Banks[a.BankID(d.cfg.Geom)]
+// bankAt and rankAt take the address fields, never a core.Address or
+// the Geometry by value: every timing gate runs them once per probe.
+func (d *Device) bankAt(ch, rank, bank int) *Bank {
+	return &d.st.Banks[d.cfg.Geom.BankIndex(ch, rank, bank)]
 }
 
-func (d *Device) rankAt(a core.Address) *Rank {
-	return &d.st.Ranks[a.Channel*d.cfg.Geom.Ranks+a.Rank]
+func (d *Device) rankAt(ch, rank int) *Rank {
+	return &d.st.Ranks[ch*d.cfg.Geom.Ranks+rank]
 }
 
 // RowParams returns the timing parameter set governing a row and whether
@@ -187,21 +189,26 @@ func (d *Device) IsNearSegment(row int) bool {
 }
 
 // OpenRow returns the open row of the bank holding addr, or -1.
-func (d *Device) OpenRow(a core.Address) int { return d.bankAt(a).OpenRow }
+func (d *Device) OpenRow(a core.Address) int { return d.bankAt(a.Channel, a.Rank, a.Bank).OpenRow }
+
+// OpenRowAt is OpenRow for a flat bank index (core.Geometry.BankIndex).
+func (d *Device) OpenRowAt(bid int) int { return d.st.Banks[bid].OpenRow }
 
 // IsRowHit reports whether a request would hit the open row — treating
 // rows that latch shared data (an MCR's clone rows, a CLR coupled pair)
 // as the same logical row, since activating any of them latched the
 // same data.
 func (d *Device) IsRowHit(a core.Address) bool {
-	b := d.bankAt(a)
-	if b.OpenRow < 0 {
-		return false
-	}
-	if b.OpenRow == a.Row {
-		return true
-	}
-	return d.mech.SameGang(b.OpenRow, a.Row)
+	return d.RowHit(d.bankAt(a.Channel, a.Rank, a.Bank).OpenRow, a.Row)
+}
+
+// RowHit reports whether a request for row hits a bank whose open row
+// is open (-1 when precharged). It is the one definition of a row hit:
+// the bank is open on the row itself, or on a row the backend gangs with
+// it, and the backend is asked only when the bank is open on another
+// row. With OpenRowAt it lets a per-cycle caller probe by flat index.
+func (d *Device) RowHit(open, row int) bool {
+	return open >= 0 && (open == row || d.mech.SameGang(open, row))
 }
 
 // InMCR reports whether the row lies in an MCR band.

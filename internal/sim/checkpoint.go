@@ -492,6 +492,14 @@ func (s *Sim) importState(st *snapshot.State) error {
 	if err := s.ctrl.ImportState(st.Controller); err != nil {
 		return err
 	}
+	// Tick accrues one refresh interval per loop iteration until NextDue
+	// passes the cycle, so a deadline far behind the resume cycle would
+	// spin there; a live run never lets one fall a full tREFI behind.
+	for i, rr := range st.Controller.Refresh {
+		if rr.NextDue < st.NextCycle-st.Controller.TREFI {
+			return fmt.Errorf("sim: checkpointed refresh deadline %d of rank %d lies more than one tREFI before cycle %d", rr.NextDue, i, st.NextCycle)
+		}
+	}
 	for i, c := range s.cores {
 		if err := c.ImportState(st.Cores[i]); err != nil {
 			return err

@@ -273,6 +273,24 @@ func TestRestoreRejectsOutOfRangeState(t *testing.T) {
 		{"queued_row", func(st *snapshot.State) { enqueue(st, 0, -1) }},
 		{"faw_cursor", func(st *snapshot.State) { st.Device.Ranks[0].ActWindowAt = 9 }},
 		{"short_banks", func(st *snapshot.State) { st.Device.Banks = st.Device.Banks[:1] }},
+		// The four below passed Restore before: a mis-kinded request or
+		// a stale refresh deadline hangs Run, and an over-long queue
+		// overruns the scheduler's per-pass scratch.
+		{"read_queue_kind", func(st *snapshot.State) {
+			enqueue(st, 0, 0)
+			st.Controller.ReadQ[0][len(st.Controller.ReadQ[0])-1].Kind = 7
+		}},
+		{"write_queue_kind", func(st *snapshot.State) {
+			st.Controller.WriteQ[0] = append(st.Controller.WriteQ[0], controller.Request{
+				ID: -1, Kind: core.OpRead, ArriveAt: st.NextCycle, PreAt: -1, ActAt: -1,
+			})
+		}},
+		{"refresh_due", func(st *snapshot.State) { st.Controller.Refresh[0].NextDue = -1 << 50 }},
+		{"queue_over_cap", func(st *snapshot.State) {
+			for i := 0; i < 100; i++ {
+				enqueue(st, 0, i)
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,15 +7,21 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/mcr"
 	"repro/internal/sim"
 )
 
 // parityConfigs are the seed configurations pinned by the golden files
-// under testdata/. They cover every pre-refactor RowParams branch: both
-// MCR gangs, a combined layout with tiered allocation, a mechanism
-// ablation, and the TL-DRAM / NUAT comparator baselines.
+// under testdata/. The first seven cover every pre-refactor RowParams
+// branch: both MCR gangs, a combined layout with tiered allocation, a
+// mechanism ablation, and the TL-DRAM / NUAT comparator baselines. The
+// rest pin the scheduler's axes that engine parity alone cannot (a bug
+// both engines share): FCFS, close-page, the anti-starvation cap, two
+// channels, permutation mapping, low watermarks, a quad-core mix with
+// allocation, and the CROW / CLR backends.
 func parityConfigs(t *testing.T) map[string]sim.Config {
 	t.Helper()
 	mode22, err := mcr.NewMode(2, 2, 1.0)
@@ -80,7 +86,71 @@ func parityConfigs(t *testing.T) map[string]sim.Config {
 	c.DRAM.Wiring = mcr.KtoK
 	cfgs["wiring_ktok"] = c
 
+	axis := func(workload string, mode mcr.Mode) sim.Config {
+		cfg := sim.DefaultConfig(workload)
+		cfg.DRAM = dram.DefaultConfig(mode)
+		cfg.InstsPerCore = 60_000
+		cfg.Seed = 3
+		return cfg
+	}
+	twoChannels := core.SingleCoreGeometry()
+	twoChannels.Channels = 2
+
+	c = axis("comm2", mode44)
+	c.Ctrl.Scheduler = controller.FCFS
+	cfgs["fcfs"] = c
+
+	c = axis("tigr", mode22)
+	c.Ctrl.RowPolicy = controller.ClosePage
+	cfgs["close_page"] = c
+
+	c = axis("mummer", mcr.Off())
+	c.Ctrl.StarvationLimit = 150
+	cfgs["starvation"] = c
+
+	c = axis("leslie", mode44)
+	c.DRAM.Geom = twoChannels
+	cfgs["two_channel"] = c
+
+	c = axis("tigr", mcr.Off())
+	c.Ctrl.Mapping = controller.PermutationInterleave
+	cfgs["permutation"] = c
+
+	c = axis("stream", mode22)
+	c.Ctrl.HighWatermark, c.Ctrl.LowWatermark = 6, 2
+	cfgs["watermarks"] = c
+
+	c = axis("tigr", mode44)
+	c.Workloads = []string{"tigr", "comm2", "black", "stream"}
+	c.DRAM.Geom = core.MultiCoreGeometry()
+	c.AllocRatio = 0.5
+	cfgs["quad_mix"] = c
+
+	c = axis("stream", mcr.Off())
+	cr := dram.DefaultCROWConfig()
+	c.DRAM.CROW = &cr
+	cfgs["crow"] = c
+
+	c = axis("mummer", mcr.Off())
+	cl := dram.DefaultCLRConfig()
+	c.DRAM.CLR = &cl
+	cfgs["clr"] = c
+
+	c = axis("leslie", mcr.Off())
+	c.DRAM.Geom = twoChannels
+	c.Ctrl.RowPolicy = controller.ClosePage
+	c.Ctrl.StarvationLimit = 150
+	cfgs["two_channel_close_starve"] = c
+
 	return cfgs
+}
+
+// preMechGoldens names the goldens written before the mechanism seam
+// existed; their Results drop the backend identification fields, which
+// the later goldens keep.
+var preMechGoldens = map[string]bool{
+	"mcr_2x": true, "mcr_4x_alloc": true, "combined": true, "ablation_ea": true,
+	"tldram": true, "nuat": true, "wiring_ktok": true,
 }
 
 // TestResultParityGolden pins the Mechanism refactor: every seed config
@@ -100,11 +170,14 @@ func TestResultParityGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			res.Wall = 0
-			// The goldens predate the mechanism seam; the identification
-			// fields carry omitempty, so zeroing them keeps the JSON shape
-			// byte-identical to the pre-refactor marshalling.
-			res.Mechanism = ""
-			res.MechStats = nil
+			if preMechGoldens[name] {
+				// These goldens predate the mechanism seam; the
+				// identification fields carry omitempty, so zeroing them
+				// keeps the JSON shape byte-identical to the pre-refactor
+				// marshalling.
+				res.Mechanism = ""
+				res.MechStats = nil
+			}
 			got, err := json.MarshalIndent(res, "", "  ")
 			if err != nil {
 				t.Fatal(err)
