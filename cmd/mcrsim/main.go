@@ -147,6 +147,18 @@ func validateRestoreConfig(path string, cfg sim.Config) error {
 	return nil
 }
 
+// validateCounts rejects negative -jobs and -degrade-after values, which
+// would otherwise run silently as if valid.
+func validateCounts(jobs, degradeAfter int) error {
+	switch {
+	case jobs < 0:
+		return fmt.Errorf("-jobs must be positive (0 = GOMAXPROCS), got %d", jobs)
+	case degradeAfter < 0:
+		return fmt.Errorf("-degrade-after must be non-negative (0 = no degradation), got %d", degradeAfter)
+	}
+	return nil
+}
+
 // validateWorkloads checks every name against the Table 5 catalogue and
 // lists the catalogue on failure.
 func validateWorkloads(names []string) error {
@@ -223,6 +235,9 @@ func main() {
 	}
 	ck, err := validateCheckpointFlags(*ckptPath, *restore, *ckptEvery, *compare)
 	if err != nil {
+		usageFatal(err)
+	}
+	if err := validateCounts(*jobs, *degrade); err != nil {
 		usageFatal(err)
 	}
 

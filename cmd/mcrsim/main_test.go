@@ -170,3 +170,31 @@ func TestValidateWorkloads(t *testing.T) {
 		t.Errorf("error must name the input and list the catalogue: %v", err)
 	}
 }
+
+// TestValidateCounts pins that negative -jobs and -degrade-after fail at
+// flag validation with a message naming the flag.
+func TestValidateCounts(t *testing.T) {
+	if err := validateCounts(0, 0); err != nil {
+		t.Fatalf("defaults rejected: %v", err)
+	}
+	if err := validateCounts(4, 2); err != nil {
+		t.Fatalf("valid counts rejected: %v", err)
+	}
+	cases := []struct {
+		flag          string
+		jobs, degrade int
+	}{
+		{"-jobs", -4, 0},
+		{"-degrade-after", 0, -3},
+	}
+	for _, tc := range cases {
+		err := validateCounts(tc.jobs, tc.degrade)
+		if err == nil {
+			t.Errorf("%s: negative value accepted", tc.flag)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s: error must name the flag: %v", tc.flag, err)
+		}
+	}
+}

@@ -20,6 +20,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -87,6 +88,23 @@ func validateExtra(name string) error {
 	return fmt.Errorf("unknown extra study %q (valid: %s)", name, strings.Join(validExtras, ", "))
 }
 
+// validateCounts rejects negative counts and durations, which would
+// otherwise run as if valid (-jobs, -retries, -spec-timeout) or fail deep
+// inside the run plan (-insts). Zero keeps each flag's default meaning.
+func validateCounts(insts int64, jobs, retries int, specTimeout time.Duration) error {
+	switch {
+	case insts < 0:
+		return fmt.Errorf("-insts must be positive (0 = default), got %d", insts)
+	case jobs < 0:
+		return fmt.Errorf("-jobs must be positive (0 = GOMAXPROCS), got %d", jobs)
+	case retries < 0:
+		return fmt.Errorf("-retries must be non-negative, got %d", retries)
+	case specTimeout < 0:
+		return fmt.Errorf("-spec-timeout must be positive (0 = unbounded), got %s", specTimeout)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		fig     = flag.Int("fig", 0, "figure/table number: 3 (Table 3), 8, 10, 11, 12, 13, 14, 15, 16, 17, 18")
@@ -121,14 +139,13 @@ func main() {
 		fatal(err)
 	}
 	if *ckptEvery != 0 && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "reproduce: -checkpoint-every needs -checkpoint-dir")
-		flag.Usage()
-		os.Exit(2)
+		usageFatal(errors.New("-checkpoint-every needs -checkpoint-dir"))
 	}
 	if *ckptEvery < 0 {
-		fmt.Fprintf(os.Stderr, "reproduce: -checkpoint-every must be positive, got %d\n", *ckptEvery)
-		flag.Usage()
-		os.Exit(2)
+		usageFatal(fmt.Errorf("-checkpoint-every must be positive, got %d", *ckptEvery))
+	}
+	if err := validateCounts(*insts, *jobs, *retries, *specTimeout); err != nil {
+		usageFatal(err)
 	}
 	if *pprofAddr != "" {
 		go func() {
@@ -218,6 +235,14 @@ func writeTraces(path string) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "reproduce:", err)
 	os.Exit(1)
+}
+
+// usageFatal reports a bad flag value the way flag parsing does: the
+// message, the usage text, exit code 2.
+func usageFatal(err error) {
+	fmt.Fprintln(os.Stderr, "reproduce:", err)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func run(fig int, opt experiments.Options, metric string) error {

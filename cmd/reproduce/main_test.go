@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/sim"
@@ -107,5 +108,37 @@ func TestFig11EnginesPrintIdenticalTables(t *testing.T) {
 	}
 	if !bytes.Equal(tables[sim.Stepped], tables[sim.EventDriven]) {
 		t.Errorf("Fig 11 tables differ across engines\nstepped:\n%s\nevent-driven:\n%s", tables[sim.Stepped], tables[sim.EventDriven])
+	}
+}
+
+// TestValidateCounts pins that negative counts fail at flag validation
+// with a message naming the flag, and that zero keeps each default.
+func TestValidateCounts(t *testing.T) {
+	if err := validateCounts(0, 0, 0, 0); err != nil {
+		t.Fatalf("defaults rejected: %v", err)
+	}
+	if err := validateCounts(30_000, 4, 2, time.Minute); err != nil {
+		t.Fatalf("valid counts rejected: %v", err)
+	}
+	cases := []struct {
+		flag        string
+		insts       int64
+		jobs, tries int
+		timeout     time.Duration
+	}{
+		{"-insts", -5, 0, 0, 0},
+		{"-jobs", 0, -2, 0, 0},
+		{"-retries", 0, 0, -1, 0},
+		{"-spec-timeout", 0, 0, 0, -time.Second},
+	}
+	for _, tc := range cases {
+		err := validateCounts(tc.insts, tc.jobs, tc.tries, tc.timeout)
+		if err == nil {
+			t.Errorf("%s: negative value accepted", tc.flag)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s: error must name the flag: %v", tc.flag, err)
+		}
 	}
 }

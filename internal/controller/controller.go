@@ -185,6 +185,21 @@ type Controller struct {
 	//mcrlint:nosnapshot per-pass scratch
 	hit []bool
 
+	// The quiet window (nextevent.go): horizon is the running minimum of
+	// the future gate times the current pass probed; wake is the first
+	// cycle whose tick must run in full; quiet counts the ticks Advance
+	// skipped since quietFrom, not yet replayed. All four are derived
+	// from State and closed by Settle before every export, so a restored
+	// controller starts with no window and loses nothing.
+	//mcrlint:nosnapshot per-pass scratch
+	horizon int64
+	//mcrlint:nosnapshot derived from State; Settle closes it before every checkpoint
+	wake int64
+	//mcrlint:nosnapshot replayed into State by Settle before every checkpoint
+	quiet int64
+	//mcrlint:nosnapshot replayed into State by Settle before every checkpoint
+	quietFrom int64
+
 	// obs/tr, when non-nil, receive row-buffer outcomes, the per-read
 	// stall attribution and MRS events; nil-safe no-ops otherwise.
 	obs *obs.Registry
@@ -268,7 +283,7 @@ func (c *Controller) CanEnqueueWrite(line int64) bool {
 }
 
 // EnqueueRead queues a read and returns its completion id; ok is false when
-// the queue is full.
+// the queue is full. An accepted read ends the quiet window.
 //
 //mcrlint:hotpath dram request admission (per CPU-issued read)
 func (c *Controller) EnqueueRead(line int64, coreID int, now int64) (int64, bool) {
@@ -276,6 +291,7 @@ func (c *Controller) EnqueueRead(line int64, coreID int, now int64) (int64, bool
 	if len(c.st.ReadQ[a.Channel]) >= c.cfg.ReadQueueCap {
 		return 0, false
 	}
+	c.Settle()
 	// Read-around-write: a pending write to the same line can serve the
 	// read immediately (store forwarding at the controller).
 	wq := c.st.WriteQ[a.Channel]
@@ -301,7 +317,8 @@ func (c *Controller) EnqueueRead(line int64, coreID int, now int64) (int64, bool
 }
 
 // EnqueueWrite queues a write; false when the queue is full. Writes
-// complete (from the CPU's view) at enqueue.
+// complete (from the CPU's view) at enqueue. An accepted write ends the
+// quiet window.
 //
 //mcrlint:hotpath dram request admission (per CPU-issued write)
 func (c *Controller) EnqueueWrite(line int64, coreID int, now int64) bool {
@@ -309,6 +326,7 @@ func (c *Controller) EnqueueWrite(line int64, coreID int, now int64) bool {
 	if len(c.st.WriteQ[a.Channel]) >= c.cfg.WriteQueueCap {
 		return false
 	}
+	c.Settle()
 	c.st.WriteQ[a.Channel] = append(c.st.WriteQ[a.Channel], Request{ID: -1, Kind: core.OpWrite, Addr: a, CoreID: coreID, ArriveAt: now, PreAt: -1, ActAt: -1}) //mcrlint:allow hotalloc bounded by WriteQueueCap; capacity stops growing after the first full queue
 	c.st.Stats.WritesQueued++
 	return true

@@ -28,6 +28,7 @@ func (c *Controller) RequestModeChange(m mcr.Mode) error {
 	if !c.dev.SupportsModeChange() {
 		return fmt.Errorf("controller: %s device: %w", c.dev.MechanismName(), mech.ErrNoModes)
 	}
+	c.Settle() // replay while the queues are still walked
 	c.st.PendingMode = &m
 	return nil
 }

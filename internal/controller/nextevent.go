@@ -1,157 +1,127 @@
-// Event-horizon computation and span replay for the event-driven
-// engine. NextEventAt answers "through which cycle is every Tick
-// provably a non-issuing pass?", and ReplaySkipped applies, in closed
-// form, the only mutations those passes would have made — the
-// stall-attribution counters on blocked requests.
+// Quiet windows for the event-driven engine. A Tick that issues nothing
+// records the first cycle at which a later Tick could act; until then
+// Advance only counts ticks, and the one mutation those inert passes
+// would have made — the stall-attribution counters on blocked requests —
+// is replayed in closed form before anything reads or changes the
+// queues.
 //
-// The correctness argument mirrors scheduler.go case by case. During a
-// span in which the CPU side is quiescent (no enqueues — the sim engine
-// guarantees that separately) and no command issues, the controller's
-// inputs are frozen: queue contents, open rows, drain flags, refresh
-// debts and every device timing gate are all constant. Each potential
-// mutation is therefore gated by a precomputable absolute time:
+// The correctness argument is that the failing tick has already probed
+// every gate it could act on. Each Can* is Earliest* <= now, and every
+// Earliest* is a max over device state that only an issued command
+// changes, so a gate the pass found shut is shut strictly before the
+// time Earliest* returned. With no command issued and no request
+// arriving, the queues, open rows, drain flags and refresh debts are
+// frozen, so the next passes probe the same gates in the same order.
+// The window is therefore the minimum of
+//
+//   - every gate the failing tick probed: column accesses, ACT/PRE for
+//     the first-per-bank walk, a refresh's PRE or REF, close-page
+//     housekeeping PREs (gateOpen folds each one);
+//   - the cycle anti-starvation engages, which changes the pass shape
+//     (schedulePass folds it);
+//
+// and the bounds no probe covers:
 //
 //   - refresh-debt accrual: the minimum Refresh[i].NextDue;
-//   - a drain-mode flip: detectable immediately (queue lengths frozen),
-//     so a pending flip forces the span to length zero;
-//   - a forced/opportunistic refresh: the first legal PRE of the rank's
-//     first open bank, or the REF itself (issueRefresh's exact order);
-//   - a column/ACT/PRE for a queued request: the device Earliest* time
-//     of the same request the real pass would attempt (row hits, then
-//     the generation-stamped first-per-bank walk);
-//   - anti-starvation engaging: the cycle the oldest request's wait
-//     crosses StarvationLimit, which changes the pass shape;
-//   - blocked-slot reclassification: a rank's RefreshBusyUntil expiry;
-//   - close-page housekeeping: the first legal PRE of an unwanted row;
-//   - an MRS drain: the next legal PRE of any open bank, or the MRS
-//     itself once all banks are closed.
+//   - a rank's refresh-window expiry, which reclassifies blocked slots
+//     (RefBlocked vs RasBlocked) in the replay.
 //
-// Every Earliest* gate is a max over frozen state, so "first legal at
-// t" really means "illegal strictly before t": skipping to the minimum
-// of the times above steps the exact cycle the stepped engine would
-// first act on.
+// A pending drain-mode flip, undrained completions or a pending MRS
+// leave no window, and so does a tick that acted. An arrival, a mode
+// request and Settle end the window early; a quarantine can change what
+// a row hit is, so the run loop settles at every poll boundary.
 
 package controller
 
-import (
-	"math"
+// gateOpen reports whether a gate probed at now is open; a gate that
+// opens later folds its opening cycle into the pass's horizon. ok is
+// the Earliest* flag: false means the command does not apply to the
+// bank's state at all, which only a command can change.
+func (c *Controller) gateOpen(t int64, ok bool, now int64) bool {
+	if !ok {
+		return false
+	}
+	if t <= now {
+		return true
+	}
+	c.horizon = min(c.horizon, t)
+	return false
+}
 
-	"repro/internal/core"
-)
+// window completes a failing tick's horizon with the bounds no probe
+// covers and returns the first cycle a later tick could act on, or
+// now+1 when the next tick is not provably inert.
+func (c *Controller) window(now int64) int64 {
+	if len(c.st.Completions) > 0 {
+		return now + 1 // deliver before sleeping
+	}
+	ev := c.horizon
+	for ch := 0; ch < c.geom.Channels; ch++ {
+		if drainNext(c.st.Drain[ch], len(c.st.ReadQ[ch]), len(c.st.WriteQ[ch]), c.cfg.HighWatermark, c.cfg.LowWatermark) != c.st.Drain[ch] {
+			return now + 1 // the drain flag flips next tick
+		}
+		for r := 0; r < c.geom.Ranks; r++ {
+			if bu, _ := c.dev.RankSpanState(ch, r); bu > now {
+				ev = min(ev, bu)
+			}
+		}
+	}
+	for i := range c.st.Refresh {
+		ev = min(ev, c.st.Refresh[i].NextDue)
+	}
+	return max(ev, now+1)
+}
 
-// NextEventAt returns the earliest cycle strictly after now at which
-// Tick could do anything beyond the blocked-counter bookkeeping that
-// ReplaySkipped reproduces. Callers must invoke it only after Tick(now)
-// has run and completions have been drained; now+1 (no skippable span)
-// is always a safe answer and is returned whenever the next tick is not
-// provably inert. The scan stops as soon as the running minimum reaches
-// now+1: the final clamp would floor anything earlier there anyway.
+// NextEventAt returns the first cycle after now at which Tick could do
+// anything beyond the blocked-counter bookkeeping ReplaySkipped
+// reproduces: the quiet window the last Tick or Advance recorded, or
+// now+1 after a tick that acted or after any arrival. Call it after
+// Tick(now) or Advance(now); it costs O(1).
 //
 //mcrlint:hotpath event-engine skip bound (per active step)
 func (c *Controller) NextEventAt(now int64) int64 {
-	from := now + 1
-	if len(c.st.Completions) > 0 {
-		return from // undrained completions: deliver before skipping
+	return max(c.wake, now+1)
+}
+
+// Advance is the event engine's Tick: a cycle inside the quiet window
+// is only counted, and the counted passes are replayed before the next
+// real one (or an arrival, a mode request, Settle, ExportState). Tick
+// stays the full pass on every cycle, so the stepped loop remains an
+// independent reference.
+//
+//mcrlint:hotpath controller scheduling (per memory cycle)
+func (c *Controller) Advance(now int64) {
+	if now < c.wake {
+		if c.quiet == 0 {
+			c.quietFrom = now
+		}
+		c.quiet++
+		return
 	}
-	// Refresh-debt accrual is the universal horizon: every rank's debt
-	// counter moves at NextDue, and Tick(now) already advanced NextDue
-	// past now.
-	ev := int64(math.MaxInt64)
-	for i := range c.st.Refresh {
-		if c.st.Refresh[i].NextDue < ev {
-			ev = c.st.Refresh[i].NextDue
-		}
+	c.Tick(now)
+}
+
+// Settle replays the ticks Advance counted and closes the quiet window,
+// so the next Advance runs a full pass. The run loop calls it where the
+// controller's state must be exact (a checkpoint, the end of the run)
+// and where device state may change outside a command (the resilience
+// poll).
+func (c *Controller) Settle() {
+	c.wake = 0
+	if c.quiet == 0 {
+		return
 	}
-	if c.st.PendingMode != nil {
-		// MRS drain: each cycle precharges at most one legal open bank;
-		// the switch applies the tick after the last one closes.
-		anyOpen := false
-		for ch := 0; ch < c.geom.Channels; ch++ {
-			for r := 0; r < c.geom.Ranks; r++ {
-				for b := 0; b < c.geom.Banks; b++ {
-					if c.dev.OpenRowAt(c.geom.BankIndex(ch, r, b)) < 0 {
-						continue
-					}
-					anyOpen = true
-					a := core.Address{Channel: ch, Rank: r, Bank: b}
-					if t, ok := c.dev.EarliestPrecharge(a, from); ok && t < ev {
-						if t <= from {
-							return from
-						}
-						ev = t
-					}
-				}
-			}
-		}
-		if !anyOpen {
-			return from // all precharged: the MRS issues next tick
-		}
-		return clampFrom(ev, from)
-	}
-	for ch := 0; ch < c.geom.Channels; ch++ {
-		nr, nw := len(c.st.ReadQ[ch]), len(c.st.WriteQ[ch])
-		if drainNext(c.st.Drain[ch], nr, nw, c.cfg.HighWatermark, c.cfg.LowWatermark) != c.st.Drain[ch] {
-			return from // the drain flag flips next tick
-		}
-		for r := 0; r < c.geom.Ranks; r++ {
-			// A refresh window expiring reclassifies blocked slots
-			// (RefBlocked vs RasBlocked), so it bounds the span.
-			if bu, _ := c.dev.RankSpanState(ch, r); bu > now && bu < ev {
-				ev = bu
-			}
-			rr := &c.st.Refresh[ch*c.geom.Ranks+r]
-			if rr.Debt >= c.cfg.MaxRefreshDebt || (rr.Debt > 0 && !c.rankHasWork(ch, r)) {
-				if t := c.refreshIssueAt(ch, r, from); t < ev {
-					ev = t
-				}
-			}
-			if ev <= from {
-				return from
-			}
-		}
-		primary, secondary := c.st.ReadQ[ch], c.st.WriteQ[ch]
-		if c.st.Drain[ch] {
-			primary, secondary = secondary, primary
-		}
-		if t := c.queueEventAt(primary, from); t < ev {
-			ev = t
-		}
-		if c.st.Drain[ch] && len(secondary) > 0 {
-			if t := c.queueEventAt(secondary, from); t < ev {
-				ev = t
-			}
-		}
-		if ev <= from {
-			return from
-		}
-		if c.cfg.RowPolicy == ClosePage {
-			for r := 0; r < c.geom.Ranks; r++ {
-				for b := 0; b < c.geom.Banks; b++ {
-					bid := c.geom.BankIndex(ch, r, b)
-					if c.dev.OpenRowAt(bid) >= 0 && !c.rowWanted(ch, bid) {
-						a := core.Address{Channel: ch, Rank: r, Bank: b}
-						if t, ok := c.dev.EarliestPrecharge(a, from); ok && t < ev {
-							ev = t
-						}
-					}
-				}
-			}
-		}
-	}
-	// Defensive clamp through the device's own ready-time seam: no skip
-	// ever outruns a timing-gate expiry, even one the analysis above has
-	// no use for yet.
-	if t := c.dev.NextReadyAt(now); t < ev {
-		ev = t
-	}
-	return clampFrom(ev, from)
+	n := c.quiet
+	c.quiet = 0
+	c.ReplaySkipped(c.quietFrom-1, n)
 }
 
 // ReplaySkipped applies the mutations of n inert Tick passes (cycles
 // now+1 .. now+n) in closed form: per pass, every blocked request the
 // scheduler would have walked gets its stall-attribution counter bumped
-// n times. Valid only for spans NextEventAt(now) approved, where the
-// walked set and each request's blocked classification are constant.
+// n times. Valid only for spans inside the window NextEventAt reported,
+// where the walked set and each request's blocked classification are
+// constant.
 //
 //mcrlint:hotpath event-engine span replay (per skip)
 func (c *Controller) ReplaySkipped(now, n int64) {
@@ -199,9 +169,9 @@ func (c *Controller) replayPass(q []Request, from, n int64) {
 
 // replayBlocked bumps one request's blocked counters exactly as n
 // blocked prepareBank attempts on bank bid would: a refresh in flight on
-// the rank (constant across the span — NextEventAt capped it at the
-// window's expiry) classifies the slot as RefBlocked, an open row's
-// unexpired tRAS/tWR window as RasBlocked; row hits mutate nothing.
+// the rank (constant across the window, which ends at its expiry)
+// classifies the slot as RefBlocked, an open row's unexpired tRAS/tWR
+// window as RasBlocked; row hits mutate nothing.
 func (c *Controller) replayBlocked(req *Request, bid int, from, n int64) {
 	if c.dev.RowHit(c.dev.OpenRowAt(bid), req.Addr.Row) {
 		return
@@ -222,131 +192,11 @@ func (c *Controller) replayBlocked(req *Request, bid int, from, n int64) {
 	}
 }
 
-// queueEventAt returns the earliest cycle >= from at which a pass over
-// the frozen queue could issue a command or change shape: any row hit's
-// column time, the first-per-bank set's preparation times, and the
-// anti-starvation threshold of the oldest request. It returns from as
-// soon as one request is ready then, since nothing can come earlier.
-// Like schedulePass it probes each request's row hit once and each
-// bank's column gate once.
-func (c *Controller) queueEventAt(q []Request, from int64) int64 {
-	if len(q) == 0 {
-		return math.MaxInt64
-	}
-	if c.cfg.Scheduler == FCFS {
-		return c.requestEventAt(&q[0], from)
-	}
-	ev := int64(math.MaxInt64)
-	if lim := c.cfg.StarvationLimit; lim > 0 {
-		if from-q[0].ArriveAt > lim {
-			// Already starved: only the oldest request may issue, and the
-			// pass shape cannot change again.
-			return c.requestEventAt(&q[0], from)
-		}
-		ev = q[0].ArriveAt + lim + 1 // the cycle starvation engages
-	}
-	c.touchedGen++
-	gen := c.touchedGen
-	bank, hit := c.bank[:len(q)], c.hit[:len(q)]
-	for i := range q {
-		a := &q[i].Addr
-		bid := c.bankOf(a)
-		bank[i], hit[i] = bid, c.dev.RowHit(c.dev.OpenRowAt(bid), a.Row)
-		if !hit[i] || c.colProbed[bid] == gen {
-			continue
-		}
-		c.colProbed[bid] = gen
-		if t := c.columnEventAt(&q[i], from); t < ev {
-			if t <= from {
-				return from
-			}
-			ev = t
-		}
-	}
-	for i := range q {
-		bid := bank[i]
-		if c.touched[bid] == gen {
-			continue
-		}
-		c.touched[bid] = gen
-		if hit[i] {
-			continue // its column event is already folded in above
-		}
-		if t := c.prepareEventAt(&q[i], bid, from); t < ev {
-			if t <= from {
-				return from
-			}
-			ev = t
-		}
-	}
-	return ev
-}
-
-// requestEventAt returns the first cycle >= from the request's next
-// command (column access for a row hit, ACT for a closed bank, PRE for
-// a conflict) becomes legal. The Earliest* gates are maxima over frozen
-// state, so the command is illegal strictly before the returned cycle.
-func (c *Controller) requestEventAt(req *Request, from int64) int64 {
-	bid := c.bankOf(&req.Addr)
-	if c.dev.RowHit(c.dev.OpenRowAt(bid), req.Addr.Row) {
-		return c.columnEventAt(req, from)
-	}
-	return c.prepareEventAt(req, bid, from)
-}
-
-// columnEventAt is requestEventAt for a row hit: its RD/WR time.
-func (c *Controller) columnEventAt(req *Request, from int64) int64 {
-	var t int64
-	var ok bool
-	if req.Kind == core.OpRead {
-		t, ok = c.dev.EarliestRead(req.Addr, from)
-	} else {
-		t, ok = c.dev.EarliestWrite(req.Addr, from)
-	}
-	if ok {
-		return t
-	}
-	return math.MaxInt64
-}
-
-// prepareEventAt is requestEventAt for a miss on bank bid: its ACT time
-// when the bank is closed, its PRE time on a conflict.
-func (c *Controller) prepareEventAt(req *Request, bid int, from int64) int64 {
-	if c.dev.OpenRowAt(bid) < 0 {
-		if t, ok := c.dev.EarliestActivate(req.Addr, from); ok {
-			return t
-		}
-		return math.MaxInt64
-	}
-	if t, ok := c.dev.EarliestPrecharge(req.Addr, from); ok {
-		return t
-	}
-	return math.MaxInt64
-}
-
-// refreshIssueAt mirrors issueRefresh's exact order: the first open
-// bank (bank order) gates everything on its PRE; with the rank fully
-// precharged the REF itself is the event.
-func (c *Controller) refreshIssueAt(ch, r int, from int64) int64 {
-	base := c.geom.BankIndex(ch, r, 0)
-	for b := 0; b < c.geom.Banks; b++ {
-		if c.dev.OpenRowAt(base+b) >= 0 {
-			a := core.Address{Channel: ch, Rank: r, Bank: b}
-			if t, ok := c.dev.EarliestPrecharge(a, from); ok {
-				return t
-			}
-			return math.MaxInt64
-		}
-	}
-	if t, ok := c.dev.EarliestRefresh(ch, r, from); ok {
-		return t
-	}
-	return math.MaxInt64
-}
-
-// drainNext applies updateDrainMode's transition function to frozen
-// queue lengths; a result different from cur means the very next tick
-// mutates the drain flag.
+// drainNext is the write-drain transition with the Table 4 watermarks:
+// enter drain at the high watermark or when only writes wait, leave it
+// at the low watermark or when only reads wait. Applied to a failing
+// tick's queue lengths, a result different from cur means the very next
+// tick flips the flag.
 func drainNext(cur bool, nr, nw, high, low int) bool {
 	switch {
 	case nw >= high:
@@ -359,12 +209,4 @@ func drainNext(cur bool, nr, nw, high, low int) bool {
 		return false
 	}
 	return cur
-}
-
-// clampFrom floors an event time at the first skippable cycle.
-func clampFrom(ev, from int64) int64 {
-	if ev < from {
-		return from
-	}
-	return ev
 }

@@ -4,45 +4,58 @@
 package controller
 
 import (
+	"math"
+
 	"repro/internal/core"
 	"repro/internal/obs"
 )
 
 // Tick runs one memory cycle: it updates refresh obligations and issues at
 // most one DRAM command per channel. Completed reads become Completions
-// (fetch them with DrainCompletions).
+// (fetch them with DrainCompletions). A tick that issues nothing records
+// the quiet window NextEventAt reports (see nextevent.go).
 //
 //mcrlint:hotpath controller scheduling (per memory cycle)
 func (c *Controller) Tick(now int64) {
-	if c.st.PendingMode != nil {
-		// A mode switch is draining: no new work until the MRS issues.
-		c.tickModeChange(now)
-		return
-	}
-	for ch := 0; ch < c.geom.Channels; ch++ {
-		c.tickChannel(ch, now)
+	c.Settle()
+	c.wake = now + 1
+	if !c.tick(now) {
+		c.wake = c.window(now)
 	}
 }
 
-// tickChannel schedules one channel for one cycle.
-func (c *Controller) tickChannel(ch int, now int64) {
-	c.updateRefreshDebt(ch, now)
-	c.updateDrainMode(ch)
+// tick runs the scheduling pass and reports whether it acted. A pending
+// mode switch counts as acting: the drain leaves no quiet window.
+func (c *Controller) tick(now int64) bool {
+	if c.st.PendingMode != nil {
+		// A mode switch is draining: no new work until the MRS issues.
+		c.tickModeChange(now)
+		return true
+	}
+	c.horizon = math.MaxInt64
+	acted := false
+	for ch := 0; ch < c.geom.Channels; ch++ {
+		if c.tickChannel(ch, now) {
+			acted = true
+		}
+	}
+	return acted
+}
 
-	// 1. Mandatory refreshes preempt everything on their rank.
-	if c.serviceForcedRefresh(ch, now) {
-		return
-	}
-	// 2. Column accesses / activates / precharges for the current flow.
-	if c.scheduleRequests(ch, now) {
-		return
-	}
-	// 3. Opportunistic refresh when a rank has debt and nothing else ran.
-	if c.serviceOpportunisticRefresh(ch, now) {
-		return
-	}
-	// 4. Close-page housekeeping.
-	c.scheduleHousekeeping(ch, now)
+// tickChannel schedules one channel for one cycle and reports whether a
+// command issued (or a skipped REF retired debt).
+func (c *Controller) tickChannel(ch int, now int64) bool {
+	c.updateRefreshDebt(ch, now)
+	c.st.Drain[ch] = drainNext(c.st.Drain[ch], len(c.st.ReadQ[ch]), len(c.st.WriteQ[ch]), c.cfg.HighWatermark, c.cfg.LowWatermark)
+
+	// In priority order: mandatory refreshes (they preempt everything on
+	// their rank); column accesses, activates and precharges for the
+	// current flow; an opportunistic refresh when a rank has debt and
+	// nothing else ran; close-page housekeeping.
+	return c.serviceForcedRefresh(ch, now) ||
+		c.scheduleRequests(ch, now) ||
+		c.serviceOpportunisticRefresh(ch, now) ||
+		c.scheduleHousekeeping(ch, now)
 }
 
 // updateRefreshDebt accrues one refresh obligation per elapsed tREFI.
@@ -57,22 +70,6 @@ func (c *Controller) updateRefreshDebt(ch int, now int64) {
 	}
 }
 
-// updateDrainMode flips the channel between read-priority and write-drain
-// using the Table 4 watermarks.
-func (c *Controller) updateDrainMode(ch int) {
-	switch {
-	case len(c.st.WriteQ[ch]) >= c.cfg.HighWatermark:
-		c.st.Drain[ch] = true
-	case c.st.Drain[ch] && len(c.st.WriteQ[ch]) <= c.cfg.LowWatermark:
-		c.st.Drain[ch] = false
-	case !c.st.Drain[ch] && len(c.st.ReadQ[ch]) == 0 && len(c.st.WriteQ[ch]) > 0:
-		// Nothing better to do: drain writes while the read queue is empty.
-		c.st.Drain[ch] = true
-	case c.st.Drain[ch] && len(c.st.ReadQ[ch]) > 0 && len(c.st.WriteQ[ch]) == 0:
-		c.st.Drain[ch] = false
-	}
-}
-
 // issueRefresh pushes one rank toward a REF: precharges open banks, then
 // issues the refresh once legal. Returns true if a command slot was used.
 func (c *Controller) issueRefresh(ch, r int, now int64) bool {
@@ -82,14 +79,14 @@ func (c *Controller) issueRefresh(ch, r int, now int64) bool {
 	for b := 0; b < c.geom.Banks; b++ {
 		if c.dev.OpenRowAt(base+b) >= 0 {
 			a := core.Address{Channel: ch, Rank: r, Bank: b}
-			if c.dev.CanPrecharge(a, now) {
+			if t, ok := c.dev.EarliestPrecharge(a, now); c.gateOpen(t, ok, now) {
 				c.dev.Precharge(a, now)
 				return true
 			}
 			return false // wait for tRAS etc.; slot not used
 		}
 	}
-	if !c.dev.CanRefresh(ch, r, now) {
+	if t, ok := c.dev.EarliestRefresh(ch, r, now); !c.gateOpen(t, ok, now) {
 		return false
 	}
 	_, _ = c.dev.Refresh(ch, r, rr.Counter, now)
@@ -181,8 +178,12 @@ func (c *Controller) schedulePass(ch int, q []Request, now int64) bool {
 	}
 	// Anti-starvation: once the oldest request has waited past the limit,
 	// stop letting younger row hits bypass it.
-	if lim := c.cfg.StarvationLimit; lim > 0 && now-q[0].ArriveAt > lim {
-		return c.advanceRequest(ch, &q[0], now)
+	if lim := c.cfg.StarvationLimit; lim > 0 {
+		if now-q[0].ArriveAt > lim {
+			return c.advanceRequest(ch, &q[0], now)
+		}
+		// The cycle the cap engages changes the pass shape.
+		c.horizon = min(c.horizon, q[0].ArriveAt+lim+1)
 	}
 	// All scratch is preallocated and generation-stamped: this pass runs
 	// every cycle, so it must not allocate.
@@ -235,7 +236,7 @@ func (c *Controller) advanceRequest(ch int, req *Request, now int64) bool {
 // from its queue.
 func (c *Controller) tryColumn(ch int, req *Request, now int64) bool {
 	if req.Kind == core.OpRead {
-		if !c.dev.CanRead(req.Addr, now) {
+		if t, ok := c.dev.EarliestRead(req.Addr, now); !c.gateOpen(t, ok, now) {
 			return false
 		}
 		c.st.Stats.RowHits++
@@ -255,7 +256,7 @@ func (c *Controller) tryColumn(ch int, req *Request, now int64) bool {
 		c.postColumn(r.Addr, now)
 		return true
 	}
-	if !c.dev.CanWrite(req.Addr, now) {
+	if t, ok := c.dev.EarliestWrite(req.Addr, now); !c.gateOpen(t, ok, now) {
 		return false
 	}
 	c.st.Stats.RowHits++
@@ -288,7 +289,7 @@ func (c *Controller) postColumn(a core.Address, now int64) {
 func (c *Controller) prepareBank(ch int, req *Request, bid int, hit bool, now int64) bool {
 	switch {
 	case c.dev.OpenRowAt(bid) < 0:
-		if c.dev.CanActivate(req.Addr, now) {
+		if t, ok := c.dev.EarliestActivate(req.Addr, now); c.gateOpen(t, ok, now) {
 			c.dev.Activate(req.Addr, now)
 			c.st.Stats.RowMisses++
 			c.obs.RowMiss()
@@ -299,7 +300,7 @@ func (c *Controller) prepareBank(ch int, req *Request, bid int, hit bool, now in
 			req.RefBlocked++
 		}
 	case !hit:
-		if c.dev.CanPrecharge(req.Addr, now) {
+		if t, ok := c.dev.EarliestPrecharge(req.Addr, now); c.gateOpen(t, ok, now) {
 			c.dev.Precharge(req.Addr, now)
 			c.st.Stats.RowConflicts++
 			c.obs.RowConflict()
@@ -337,10 +338,10 @@ func (c *Controller) hitsBank(q []Request, bid int) bool {
 }
 
 // scheduleHousekeeping closes pages nobody wants under the close-page
-// policy (open-page leaves rows alone).
-func (c *Controller) scheduleHousekeeping(ch int, now int64) {
+// policy (open-page leaves rows alone). Returns true if a PRE issued.
+func (c *Controller) scheduleHousekeeping(ch int, now int64) bool {
 	if c.cfg.RowPolicy != ClosePage {
-		return
+		return false
 	}
 	for r := 0; r < c.geom.Ranks; r++ {
 		for b := 0; b < c.geom.Banks; b++ {
@@ -348,12 +349,14 @@ func (c *Controller) scheduleHousekeeping(ch int, now int64) {
 			if c.dev.OpenRowAt(bid) < 0 || c.rowWanted(ch, bid) {
 				continue
 			}
-			if a := (core.Address{Channel: ch, Rank: r, Bank: b}); c.dev.CanPrecharge(a, now) {
+			a := core.Address{Channel: ch, Rank: r, Bank: b}
+			if t, ok := c.dev.EarliestPrecharge(a, now); c.gateOpen(t, ok, now) {
 				c.dev.Precharge(a, now)
-				return
+				return true
 			}
 		}
 	}
+	return false
 }
 
 // removeRequest deletes a read by id, preserving order.

@@ -17,7 +17,8 @@ import (
 // works on, and the value a checkpoint carries. The schedulePass
 // bank-dedup scratch (touched/touchedGen) is per-pass and intentionally
 // absent: a restored controller starts it from zero, which is
-// indistinguishable to the scheduler.
+// indistinguishable to the scheduler. So is the quiet window, which
+// ExportState settles and a restored controller starts without.
 type State struct {
 	ReadQ  [][]Request // per channel
 	WriteQ [][]Request
@@ -36,8 +37,10 @@ type State struct {
 }
 
 // ExportState returns a copy of the controller's state, sharing no
-// mutable storage with the live controller, for a checkpoint.
+// mutable storage with the live controller, for a checkpoint. It settles
+// the quiet window first, so the copy holds every replayed counter.
 func (c *Controller) ExportState() State {
+	c.Settle()
 	st := c.st
 	st.ReadQ, st.WriteQ = cloneQueues(st.ReadQ), cloneQueues(st.WriteQ)
 	st.Drain = slices.Clone(st.Drain)

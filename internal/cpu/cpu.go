@@ -62,6 +62,12 @@ type Core struct {
 	// (see state.go). Its metric counters (ReadsIssued, WritesIssued,
 	// FetchStalls) read straight off the core.
 	State
+
+	// stalled records that the last Cycle left the ROB full behind an
+	// outstanding head read: every Cycle is then a pure no-op until the
+	// next Complete, which clears it.
+	//mcrlint:nosnapshot derived from State; ImportState clears it and the next Cycle recomputes it
+	stalled bool
 }
 
 // Record aliases the trace record for the pending slot.
@@ -104,17 +110,31 @@ func (c *Core) Complete(readID int64) {
 	if idx, ok := c.ReadsInFlight[readID]; ok {
 		c.ROB[idx].Done = true
 		delete(c.ReadsInFlight, readID)
+		c.stalled = false
 	}
 }
 
 // Cycle advances the core by one CPU cycle at time now (CPU cycles); memNow
-// is the matching memory-controller cycle used for enqueues.
+// is the matching memory-controller cycle used for enqueues. A core
+// whose ROB is full behind an outstanding head read can neither retire
+// nor fetch, so it returns at once until the next Complete.
 func (c *Core) Cycle(now, memNow int64) {
-	if c.Done() {
+	if c.stalled || c.Done() {
 		return
 	}
 	c.retire(now)
 	c.fetch(memNow)
+	c.stalled = c.Occupancy >= c.cfg.ROBSize && c.headWaiting()
+}
+
+// headWaiting reports whether the ROB head is a read still waiting on
+// DRAM, which blocks retirement.
+func (c *Core) headWaiting() bool {
+	if c.Sz == 0 {
+		return false
+	}
+	e := &c.ROB[c.Head]
+	return e.ReadID >= 0 && !e.Done
 }
 
 // retire removes up to RetireWidth completed instructions from the ROB head.

@@ -37,8 +37,7 @@ func (c *Core) SkipBound() int64 {
 		// nothing buffered), every cycle until its completion is a pure
 		// no-op. Any other shape (head retirable, fetch refilling) must
 		// step.
-		if c.Sz > 0 && c.ROB[c.Head].ReadID >= 0 && !c.ROB[c.Head].Done &&
-			(c.Occupancy >= c.cfg.ROBSize || (!c.HasPending && c.gen.Exhausted())) {
+		if c.headWaiting() && (c.Occupancy >= c.cfg.ROBSize || (!c.HasPending && c.gen.Exhausted())) {
 			return math.MaxInt64
 		}
 		return 0
@@ -78,8 +77,8 @@ func (c *Core) SkipBound() int64 {
 //
 //mcrlint:hotpath event-engine span replay (per skip)
 func (c *Core) FastForward(now, k int64) {
-	if c.Done() {
-		return
+	if c.stalled || c.Done() {
+		return // k no-op cycles
 	}
 	rw := int64(c.cfg.RetireWidth)
 	steady := c.cfg.FetchWidth >= c.cfg.RetireWidth && c.cfg.ROBSize > c.cfg.RetireWidth

@@ -71,5 +71,6 @@ func (c *Core) ImportState(st State) error {
 		st.ReadsInFlight = make(map[int64]int)
 	}
 	c.State = st
+	c.stalled = false
 	return nil
 }

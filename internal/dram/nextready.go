@@ -1,10 +1,12 @@
-// Ready-time seams for the event-driven engine: the device already
-// keeps every JEDEC constraint as an absolute "earliest next cycle"
-// gate (bank/rank next-command times, refresh-busy windows, bus and
-// column turnaround). NextReadyAt folds them into the single earliest
-// future cycle at which any command's eligibility can change, and
-// RankSpanState exposes what the power model needs to account a skipped
-// span in closed form.
+// Ready-time seams: the device keeps every JEDEC constraint as an
+// absolute "earliest next cycle" gate (bank/rank next-command times,
+// refresh-busy windows, bus and column turnaround). NextReadyAt folds
+// them into the single earliest future cycle at which any command's
+// eligibility can change; the event engine no longer bounds its skips
+// with it (the controller's quiet window comes from the gates its pass
+// probed), but it stays the device-wide fold the benchmark times.
+// RankSpanState exposes what the power model needs to account a
+// skipped span in closed form.
 
 package dram
 

@@ -257,10 +257,12 @@ func (s *Sim) run(ctx context.Context) (*Result, error) {
 		// then carries the post-poll violation cursor, so the resumed
 		// loop's re-poll at this cycle is an idempotent no-op.
 		if mem&0xFFF == 0 {
-			// The skip backoff restarts here, so skip decisions depend
-			// only on state since the last checkpointable cycle and a
+			// The controller's quiet window closes here: the resilience
+			// poll may quarantine rows (changing what a row hit is), and
+			// a snapshot must carry every replayed stall counter. Skip
+			// decisions then depend only on state since this cycle, so a
 			// resumed run skips exactly the cycles this one does.
-			s.ls.horizonWait, s.ls.missExp = 0, 0
+			s.ctrl.Settle()
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
@@ -309,6 +311,7 @@ func (s *Sim) run(ctx context.Context) (*Result, error) {
 // finish builds the Result once the loop has drained at cycle mem.
 func (s *Sim) finish(mem int64) (*Result, error) {
 	cfg, ls := s.cfg, s.ls
+	s.ctrl.Settle()
 	activeCyc, standbyCyc, pdCyc := ls.activeCyc, ls.standbyCyc, ls.pdCyc
 	totalReadLatency, reads, hist, cpuCycle := ls.totalReadLatency, ls.reads, ls.hist, ls.cpuCycle
 

@@ -1,16 +1,27 @@
-// The event-driven engine: after each active step the loop asks every
-// clock domain for the earliest cycle at which its state can change —
-// the next pending read completion, the controller's next possible
-// command or refresh obligation (controller.NextEventAt, backed by
-// dram.NextReadyAt), the next CPU retirement/fetch milestone
-// (cpu.SkipBound) and the amortized poll/checkpoint boundary — and
-// jumps straight to the minimum, replaying the skipped span into the
-// power/idle accounting in closed form. Every candidate is conservative
-// (never later than the true first state change), so the skipped cycles
-// are provably inert and the results stay byte-identical to the stepped
-// path; the parity tests pin that across all five mechanism backends.
-// A horizon that finds nothing to skip makes the next few steps skip
-// the computation (skip's backoff), so busy phases stay cheap.
+// The event-driven engine. Each clock domain skips on its own, and the
+// whole system skips when every domain is quiet at once.
+//
+//   - The controller records a quiet window when a tick issues nothing:
+//     the minimum of every gate that tick probed plus the bounds no probe
+//     covers (controller.NextEventAt). step calls Advance, which only
+//     counts the ticks inside the window; the controller replays their
+//     stall counters before its next real pass, an arrival, a mode
+//     request or a Settle (every poll boundary, every export, the end of
+//     the run).
+//   - A core whose ROB is full behind an outstanding head read returns
+//     from Cycle at once until its next completion.
+//   - After each active step, skipTarget takes the minimum of the next
+//     pending read completion, the controller's window, each core's
+//     quiescence bound (cpu.SkipBound) and the amortized poll/checkpoint
+//     boundary, and applySkip replays the span in closed form, power and
+//     idle accounting included.
+//
+// Every bound is conservative (never later than the true first state
+// change), so the skipped cycles are provably inert and results stay
+// byte-identical to the stepped path; the parity tests and
+// FuzzEngineParity pin that across all five mechanism backends. The
+// controller window costs O(1) to read, so the horizon is computed after
+// every active step, with no backoff and no device-wide gate scan.
 
 package sim
 
@@ -54,34 +65,16 @@ func ParseEngine(name string) (Engine, error) {
 	return 0, fmt.Errorf("unknown engine %q (valid: %s, %s)", name, Stepped, EventDriven)
 }
 
-// maxMissExp caps the miss backoff: after m consecutive horizons that
-// found nothing to skip (m <= maxMissExp), the next 2^m-1 steps compute
-// no horizon at all.
-const maxMissExp = 3
-
 // skip runs the event engine after step(mem) returned false: it replays
 // the inert span up to the skip horizon and returns the last cycle
-// replayed (mem itself when nothing was skipped). A horizon that finds
-// nothing to skip backs off the next ones, so busy phases pay almost
-// nothing for trying. Stepping a skippable cycle is always correct, so
-// the backoff changes only how many cycles are skipped, never results;
-// run zeroes it at every poll boundary.
+// replayed (mem itself when nothing was skipped).
 //
 //mcrlint:hotpath event-engine skip policy (per active step)
 func (ls *loopState) skip(mem int64) int64 {
-	if ls.horizonWait > 0 {
-		ls.horizonWait--
-		return mem
-	}
 	t := ls.skipTarget(mem)
 	if t <= mem+1 {
-		if ls.missExp < maxMissExp {
-			ls.missExp++
-		}
-		ls.horizonWait = 1<<ls.missExp - 1
 		return mem
 	}
-	ls.missExp = 0
 	ls.applySkip(mem, t-mem-1)
 	return t - 1
 }
@@ -94,10 +87,8 @@ func (ls *loopState) skip(mem int64) int64 {
 //
 // The result is the minimum over four candidates: the amortized poll
 // boundary, the earliest pending read completion, each live core's
-// quiescence bound and the controller's next event. They are taken
-// cheapest first, and the search stops as soon as the running minimum
-// reaches mem+1, so a busy step (a completion due next cycle, a core
-// that must step) never pays for the controller's queue scan.
+// quiescence bound and the controller's quiet window. The search stops
+// as soon as the running minimum reaches mem+1.
 //
 //mcrlint:hotpath event-engine skip horizon (per active step)
 func (ls *loopState) skipTarget(mem int64) int64 {

@@ -40,11 +40,25 @@ func engineResultJSON(t *testing.T, cfg sim.Config, e sim.Engine) ([]byte, obs.S
 // TestEngineParity is the tentpole's master correctness pin: for every
 // mechanism backend — each with fault injection, metrics and tracing, the
 // MCR one additionally with resilience, quarantine and profile
-// allocation — the event-driven engine must produce a Result
-// byte-identical to the stepped reference loop, and must actually skip
-// cycles while doing so.
+// allocation — and for the anti-starvation and two-channel close-page
+// scheduler axes, the event-driven engine must produce a Result
+// (observability snapshot included) byte-identical to the stepped
+// reference loop, and must actually skip cycles while doing so.
 func TestEngineParity(t *testing.T) {
-	for name, cfg := range sim.CheckpointConfigs(t) {
+	cfgs := sim.CheckpointConfigs(t)
+	// The scheduler axes whose horizon bounds the backend configs do not
+	// reach: the anti-starvation cap at two limits (the cycle it engages
+	// changes the pass shape, so a quiet window must end there) and two
+	// channels under close-page with the cap. A misplaced bound corrupts
+	// the stall attribution, which the attached metrics expose.
+	golden := parityConfigs(t)
+	for _, name := range []string{"starvation", "two_channel_close_starve"} {
+		cfgs[name] = golden[name]
+	}
+	starve50 := golden["starvation"]
+	starve50.Ctrl.StarvationLimit = 50
+	cfgs["starvation_50"] = starve50
+	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
 			want, _ := engineResultJSON(t, cfg, sim.Stepped)
 			got, snap := engineResultJSON(t, cfg, sim.EventDriven)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/fault"
@@ -107,8 +108,8 @@ func referenceSkipTarget(ls *loopState, mem int64) int64 {
 // TestSkipTargetMatchesReference pins that ordering the horizon by cost
 // never changes it: at every step of the engine-parity configs plus a
 // quad-core mix, the cost-ordered skipTarget must equal the unordered
-// reference minimum. The loop mirrors run's event-driven path without
-// the backoff, so the horizon is computed at every step.
+// reference minimum. The loop mirrors run's event-driven path, which
+// computes the horizon at every step.
 func TestSkipTargetMatchesReference(t *testing.T) {
 	cfgs := CheckpointConfigs(t)
 	quad := DefaultConfig("tigr")
@@ -146,6 +147,103 @@ func TestSkipTargetMatchesReference(t *testing.T) {
 			if skips == 0 {
 				t.Fatalf("no skips in %d steps; the comparison is vacuous", steps)
 			}
+		})
+	}
+}
+
+// commandsIssued counts every command the device and controller have
+// issued so far (a skipped REF and an MRS included), read off their
+// statistics rather than the scheduler's own bookkeeping.
+func commandsIssued(s *Sim) int64 {
+	d, c := s.dev.Stats(), s.ctrl.Stats()
+	return d.Activates + d.Reads + d.Writes + d.Precharges + d.Refreshes + d.SkippedRefreshes + c.ModeChanges
+}
+
+// arrivals counts the requests the controller has accepted so far.
+func arrivals(s *Sim) int64 {
+	c := s.ctrl.Stats()
+	return c.ReadsQueued + c.WritesQueued
+}
+
+// TestQuietWindowIsInert checks the controller's recorded horizon
+// against what the scheduler actually does, sharing no code with the
+// horizon: under the stepped engine (a full Tick every cycle), once
+// NextEventAt(mem) reports a window w > mem+1, no tick before w may
+// issue a command unless a request arrived first. The run loop closes
+// every window at a poll boundary (Settle), so the check does too. Each
+// config must yield windows, or the check is vacuous.
+func TestQuietWindowIsInert(t *testing.T) {
+	cfgs := CheckpointConfigs(t)
+	axis := func(workload string, mode mcr.Mode) Config {
+		cfg := DefaultConfig(workload)
+		cfg.DRAM = dram.DefaultConfig(mode)
+		cfg.InstsPerCore = 60_000
+		cfg.Seed = 3
+		return cfg
+	}
+	mode44 := mcr.Mode{K: 4, M: 4, Region: 1.0}
+	mode22 := mcr.Mode{K: 2, M: 2, Region: 1.0}
+	c := axis("comm2", mode44)
+	c.Ctrl.Scheduler = controller.FCFS
+	cfgs["fcfs"] = c
+	c = axis("tigr", mode22)
+	c.Ctrl.RowPolicy = controller.ClosePage
+	cfgs["close_page"] = c
+	c = axis("mummer", mcr.Off())
+	c.Ctrl.StarvationLimit = 150
+	cfgs["starvation"] = c
+	c = axis("leslie", mode44)
+	c.DRAM.Geom = twoChannelGeometry()
+	cfgs["two_channel"] = c
+	c = axis("stream", mode22)
+	c.Ctrl.HighWatermark, c.Ctrl.LowWatermark = 6, 2
+	cfgs["watermarks"] = c
+	c = axis("leslie", mcr.Off())
+	c.DRAM.Geom = twoChannelGeometry()
+	c.Ctrl.RowPolicy = controller.ClosePage
+	c.Ctrl.StarvationLimit = 150
+	cfgs["two_channel_close_starve"] = c
+
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) {
+			cfg.Engine = Stepped
+			s, err := NewSim(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var windows int
+			var wake, openedAt int64 // wake 0: no window open
+			for mem := int64(0); ; mem++ {
+				if mem&0xFFF == 0 {
+					wake = 0
+					if s.resil != nil {
+						s.resil.poll(mem)
+					}
+				}
+				cmds, arr := commandsIssued(s), arrivals(s)
+				if s.ls.step(mem) {
+					break
+				}
+				if arrivals(s) != arr {
+					wake = 0 // an arrival ends the window
+				}
+				if mem < wake && commandsIssued(s) != cmds {
+					t.Fatalf("cycle %d: a command issued inside the quiet window [%d, %d) with no arrival", mem, openedAt+1, wake)
+				}
+				if w := s.ctrl.NextEventAt(mem); w > mem+1 {
+					if mem >= wake {
+						windows++
+						openedAt = mem
+					}
+					wake = w
+				} else {
+					wake = 0
+				}
+			}
+			if windows == 0 {
+				t.Fatal("no quiet windows recorded; the check is vacuous")
+			}
+			t.Logf("%d windows", windows)
 		})
 	}
 }

@@ -300,13 +300,6 @@ type loopState struct {
 	// skippedCycles counts the memory cycles the event-driven engine
 	// replayed in closed form instead of stepping (0 under Stepped).
 	skippedCycles int64
-	// Miss backoff of the event-driven engine: after a horizon that found
-	// nothing to skip, the next horizonWait steps skip the computation;
-	// missExp counts consecutive misses (capped at maxMissExp).
-	//mcrlint:nosnapshot backoff state, zeroed at every poll boundary where checkpoints are written
-	horizonWait int
-	//mcrlint:nosnapshot backoff state, zeroed at every poll boundary where checkpoints are written
-	missExp int
 }
 
 // step runs one memory cycle — completion delivery, 4 CPU cycles, one
@@ -338,7 +331,11 @@ func (ls *loopState) step(mem int64) (done bool) {
 		}
 		ls.cpuCycle++
 	}
-	ls.ctrl.Tick(mem)
+	if ls.cfg.Engine == EventDriven {
+		ls.ctrl.Advance(mem) // sleeps through the controller's quiet window
+	} else {
+		ls.ctrl.Tick(mem)
+	}
 	if !ls.warmed {
 		ls.warmed = true
 		for _, c := range ls.cores {
